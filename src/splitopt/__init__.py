@@ -7,7 +7,7 @@ benchmark instances, and exposes a CLI (``splitopt``) that sweeps solvers
 and step-size presets over them.
 """
 
-from .metrics import MetricReport, metric_report, nmsd, snr, ssim_global
+from .metrics import nmsd, snr, ssim_global
 from .operators import (
     Composite,
     DenseMatrix,
@@ -51,7 +51,6 @@ from .solvers import (
     IterationRecord,
     SolveTrace,
     SolverConfig,
-    objective,
     preset_config,
     solve_condat_vu,
     solve_davis_yin,

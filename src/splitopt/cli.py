@@ -7,8 +7,12 @@ Subcommands:
 
 Configs are INI files with an [experiment] section, a [run] section, and an
 optional [custom] section holding explicit step sizes for ``presets = custom``.
-The environment variable SPLITOPT_OUTPUT_DIR overrides the configured output
-directory.
+The [experiment] keys are the parameters of the experiment's instance builder
+(with its signature defaults); a key that a section does not know is a
+malformed config, and so is a sweep in which two cells would write the same
+file (a repeated preset, solver id or inner_iters value, or two eps values
+that format alike).  The environment variable SPLITOPT_OUTPUT_DIR overrides
+the configured output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
 3 verification failure; 4 unwritable output directory; 5 unknown solver id;
@@ -23,20 +27,14 @@ Files are written atomically and reruns of the same config are byte-identical.
 
 import argparse
 import configparser
+import inspect
 import os
 import sys
 import tempfile
 
-from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
-from .solvers import (
-    DUAL_SOLVERS,
-    PRIMAL_DUAL_SOLVERS,
-    SOLVERS,
-    ConfigError,
-    DivergenceError,
-    SolverConfig,
-    preset_config,
-)
+# the builders are module attributes that _EXPERIMENTS names
+from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem  # noqa: F401
+from .solvers import SOLVERS, ConfigError, DivergenceError, preset_config
 from .verification import run_suite
 
 EXIT_OK = 0
@@ -49,17 +47,11 @@ EXIT_BAD_PAIRING = 6
 
 ENV_OUTPUT_DIR = "SPLITOPT_OUTPUT_DIR"
 
-DEFAULT_CONFIGS = {
-    "fused-lasso": """\
-[experiment]
-name = fused-lasso
-seed = 0
-m = 100
-n = 200
-mu1 = 0.2
-mu2 = 0.8
-noise_var = 0.01
-
+#: experiment name -> (name of its builder in this module, the [run] and
+#: [custom] half of its default config).  The builder is looked up when the
+#: experiment is built, so a replaced module attribute is honoured.
+_EXPERIMENTS = {
+    "fused-lasso": ("build_fused_lasso", """\
 [run]
 solvers = fb-dual, fb-pd, tos-dual, tos-pd
 presets = type-I, type-II
@@ -67,18 +59,8 @@ inner_iters = 1
 eps = 1e-4, 1e-8
 max_outer = 5000
 output_dir = results/fused-lasso
-""",
-    "constrained-tv-ct": """\
-[experiment]
-name = constrained-tv-ct
-seed = 0
-img_side = 64
-views = 20
-rays = 96
-mu = 0.5
-noise_var = 0.01
-tv_kind = iso
-
+"""),
+    "constrained-tv-ct": ("build_ct_problem", """\
 [run]
 solvers = fb-dual, fb-pd, tos-dual, tos-pd
 presets = custom
@@ -91,18 +73,8 @@ output_dir = results/constrained-tv-ct
 lambda = 0.125
 sigma = 0.125
 tau = 1.0
-""",
-    "lrtv-sr": """\
-[experiment]
-name = lrtv-sr
-seed = 0
-rows = 32
-cols = 32
-blur_sigma = 1.0
-factor = 2
-lambda1 = 0.01
-lambda2 = 0.01
-
+"""),
+    "lrtv-sr": ("build_lrtv_problem", """\
 [run]
 solvers = fb-dual, fb-pd, tos-dual, tos-pd
 presets = custom
@@ -116,8 +88,36 @@ gamma = 0.1
 lambda = 0.125
 sigma = 0.125
 tau = 1.0
-""",
+"""),
 }
+
+_RUN_KEYS = ("solvers", "presets", "inner_iters", "eps", "max_outer", "warm_start_dual",
+             "output_dir")
+#: [custom] key -> SolverConfig field
+_CUSTOM_KEYS = {"gamma": "gamma", "lambda": "lam", "sigma": "sigma", "tau": "tau"}
+
+
+def _builder(name):
+    return globals()[_EXPERIMENTS[name][0]]
+
+
+def _builder_defaults(name):
+    params = inspect.signature(_builder(name)).parameters
+    defaults = {key: p.default for key, p in params.items()}
+    return {"seed": defaults.pop("seed"), **defaults}
+
+
+#: experiment name -> its [experiment] keys (seed first) with their defaults
+_EXPERIMENT_DEFAULTS = {name: _builder_defaults(name) for name in _EXPERIMENTS}
+
+
+def _default_config(name):
+    lines = ["[experiment]", f"name = {name}"]
+    lines += [f"{key} = {value}" for key, value in _EXPERIMENT_DEFAULTS[name].items()]
+    return "\n".join(lines) + "\n\n" + _EXPERIMENTS[name][1]
+
+
+DEFAULT_CONFIGS = {name: _default_config(name) for name in _EXPERIMENTS}
 
 
 class CliConfigError(Exception):
@@ -135,39 +135,11 @@ def _parse_list(raw, conv):
     return [conv(s) for s in items if s]
 
 
-def _build_experiment(section):
-    name = section.get("name", "").strip()
-    seed = section.getint("seed", fallback=0)
-    if name == "fused-lasso":
-        return build_fused_lasso(
-            m=section.getint("m", fallback=100),
-            n=section.getint("n", fallback=200),
-            mu1=section.getfloat("mu1", fallback=0.2),
-            mu2=section.getfloat("mu2", fallback=0.8),
-            noise_var=section.getfloat("noise_var", fallback=0.01),
-            seed=seed,
-        )
-    if name == "constrained-tv-ct":
-        return build_ct_problem(
-            img_side=section.getint("img_side", fallback=64),
-            views=section.getint("views", fallback=20),
-            rays=section.getint("rays", fallback=96),
-            mu=section.getfloat("mu", fallback=0.5),
-            noise_var=section.getfloat("noise_var", fallback=0.01),
-            tv_kind=section.get("tv_kind", fallback="iso").strip(),
-            seed=seed,
-        )
-    if name == "lrtv-sr":
-        return build_lrtv_problem(
-            rows=section.getint("rows", fallback=32),
-            cols=section.getint("cols", fallback=32),
-            blur_sigma=section.getfloat("blur_sigma", fallback=1.0),
-            factor=section.getint("factor", fallback=2),
-            lambda1=section.getfloat("lambda1", fallback=0.01),
-            lambda2=section.getfloat("lambda2", fallback=0.01),
-            seed=seed,
-        )
-    raise CliConfigError(f"unknown experiment {name!r}")
+def _check_keys(parser, section, known):
+    # keys inherited from [DEFAULT] reach every section; only a section's own count
+    unknown = sorted(set(parser[section]) - set(known) - set(parser.defaults()))
+    if unknown:
+        raise CliConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def _read_config(path):
@@ -176,9 +148,23 @@ def _read_config(path):
         raise CliConfigError(f"cannot read config file {path!r}")
     if "experiment" not in parser or "run" not in parser:
         raise CliConfigError("config needs [experiment] and [run] sections")
-    run = parser["run"]
+    experiment, run = parser["experiment"], parser["run"]
+    name = experiment.get("name", "").strip()
+    if name not in _EXPERIMENTS:
+        raise CliConfigError(f"unknown experiment {name!r}")
+    defaults = _EXPERIMENT_DEFAULTS[name]
+    _check_keys(parser, "experiment", ["name", *defaults])
+    _check_keys(parser, "run", _RUN_KEYS)
+    custom = None
+    if "custom" in parser:
+        _check_keys(parser, "custom", _CUSTOM_KEYS)
+        custom = {field: float(parser["custom"][key])
+                  for key, field in _CUSTOM_KEYS.items() if key in parser["custom"]}
     cfg = {
-        "experiment": parser["experiment"],
+        "experiment": name,
+        # each value takes the type of the builder's default
+        "params": {key: type(value)(experiment[key]) for key, value in defaults.items()
+                   if key in experiment},
         "solvers": _parse_list(run.get("solvers", ""), str),
         "presets": _parse_list(run.get("presets", "type-II"), str),
         "inner_iters": _parse_list(run.get("inner_iters", "1"), int),
@@ -186,11 +172,11 @@ def _read_config(path):
         "max_outer": run.getint("max_outer", fallback=5000),
         "warm_start_dual": run.getboolean("warm_start_dual", fallback=True),
         "output_dir": run.get("output_dir", "results"),
-        "custom": parser["custom"] if "custom" in parser else None,
+        "custom": custom,
     }
     if not cfg["solvers"]:
         raise CliConfigError("solver list is empty")
-    if any(e <= 0 for e in cfg["eps"]):
+    if not all(e > 0 for e in cfg["eps"]):
         raise CliConfigError("all eps values must be positive")
     if any(j < 1 for j in cfg["inner_iters"]):
         raise CliConfigError("all inner_iters values must be >= 1")
@@ -199,30 +185,14 @@ def _read_config(path):
             raise CliConfigError(f"unknown preset {preset!r}")
         if preset == "custom" and cfg["custom"] is None:
             raise CliConfigError("preset 'custom' needs a [custom] section")
+    # cells are named by preset, solver id, J and eps formatted with :g
+    for key, items in (("presets", cfg["presets"]), ("solvers", cfg["solvers"]),
+                       ("inner_iters", cfg["inner_iters"]),
+                       ("eps", [f"{e:g}" for e in cfg["eps"]])):
+        if len(set(items)) < len(items):
+            raise CliConfigError(f"[run] {key} repeats a value, so two sweep cells "
+                                 "would write the same file")
     return cfg
-
-
-def _cell_config(problem, preset, custom, solver_id, inner, eps, max_outer, warm):
-    common = dict(inner_iters=inner, eps=eps, max_outer=max_outer, warm_start_dual=warm)
-    if preset in ("type-I", "type-II"):
-        return preset_config(problem, preset, **common)
-    gamma = custom.getfloat("gamma", fallback=None)
-    if gamma is None:
-        lip = problem.f.lipschitz
-        if lip <= 0:
-            raise ConfigError("custom preset needs gamma when L = 0")
-        gamma = 1.9 / lip
-    lam = custom.getfloat("lambda", fallback=None)
-    sigma = custom.getfloat("sigma", fallback=None)
-    tau = custom.getfloat("tau", fallback=None)
-    if solver_id in DUAL_SOLVERS and lam is None:
-        raise ConfigError(f"custom preset provides no lambda for dual solver {solver_id!r}")
-    if solver_id in PRIMAL_DUAL_SOLVERS and (sigma is None or tau is None):
-        raise ConfigError(
-            f"custom preset provides no sigma/tau for primal-dual solver {solver_id!r}"
-        )
-    return SolverConfig(gamma=gamma, lam=lam, sigma=sigma, tau=tau,
-                        param_preset="custom", **common)
 
 
 def _atomic_write(path, text):
@@ -230,6 +200,10 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,7 +227,7 @@ def _trace_csv(trace, with_ssim):
 def cmd_run(args):
     try:
         cfg = _read_config(args.config)
-        problem = _build_experiment(cfg["experiment"])
+        problem = _builder(cfg["experiment"])(**cfg["params"])
     except (CliConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -283,9 +257,10 @@ def cmd_run(args):
             for inner in cfg["inner_iters"]:
                 for eps in cfg["eps"]:
                     try:
-                        solver_cfg = _cell_config(
-                            problem, preset, cfg["custom"], solver_id, inner, eps,
-                            cfg["max_outer"], cfg["warm_start_dual"],
+                        solver_cfg = preset_config(
+                            problem, preset, inner_iters=inner, eps=eps,
+                            max_outer=cfg["max_outer"], warm_start_dual=cfg["warm_start_dual"],
+                            **(cfg["custom"] if preset == "custom" else {}),
                         )
                         trace = SOLVERS[solver_id](problem, solver_cfg)
                     except ConfigError as exc:

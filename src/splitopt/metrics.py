@@ -7,11 +7,9 @@ All metrics flatten their inputs, so image arguments may be passed in any
 shape as long as both agree.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["snr", "nmsd", "ssim_global", "MetricReport", "metric_report"]
+__all__ = ["snr", "nmsd", "ssim_global"]
 
 
 def _deviations(x_true, x_rec):
@@ -62,25 +60,3 @@ def ssim_global(f_img, g_img, dynamic_range):
         (2.0 * mf * mg + c1) * (2.0 * cov + c2) / ((mf**2 + mg**2 + c1) * (vf + vg + c2))
     )
 
-
-@dataclass
-class MetricReport:
-    snr_db: float
-    nmsd: float
-    ssim: float | None = None
-
-
-def metric_report(x_true, x_rec, image_shape=None, dynamic_range=None):
-    """Bundle SNR/NMSD (and SSIM when an image shape is given)."""
-    s = None
-    if image_shape is not None:
-        rng_val = dynamic_range
-        if rng_val is None:
-            t = np.asarray(x_true, dtype=float)
-            rng_val = float(t.max() - t.min()) or 1.0
-        s = ssim_global(
-            np.asarray(x_true).reshape(image_shape),
-            np.asarray(x_rec).reshape(image_shape),
-            rng_val,
-        )
-    return MetricReport(snr_db=snr(x_true, x_rec), nmsd=nmsd(x_true, x_rec), ssim=s)

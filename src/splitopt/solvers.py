@@ -42,7 +42,6 @@ __all__ = [
     "DivergenceError",
     "ConfigError",
     "preset_config",
-    "objective",
     "solve_fb_dual",
     "solve_fb_primal_dual",
     "solve_tos_dual",
@@ -90,17 +89,18 @@ class SolverConfig:
     param_preset: str | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        # positivity is tested as ``not x > 0`` so that NaN is rejected too
+        if not self.gamma > 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.inner_iters < 1:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.max_outer < 1:
             raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
         for name in ("lam", "sigma", "tau"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
 
 
@@ -109,19 +109,25 @@ def preset_config(problem, preset, **overrides):
 
     type-I:  lam = 1.9 / lambda_max(B B^T), sigma = 1 / ||B||^2, tau = 1.
     type-II: lam = 1 / lambda_max(B B^T),  sigma = tau = 1 / ||B||.
+    custom:  only the step sizes given in ``overrides``; a solver whose
+             steps are missing rejects the config.
 
     The spectral constants come from the problem's conventional values
     (``b_lam_max``/``b_norm``) when set, otherwise from power iteration;
     gamma defaults to the problem's suggested value or 1.9/L.
     """
-    lam_max = problem.b_lam_max if problem.b_lam_max is not None else problem.exact_b_norm() ** 2
-    norm_b = problem.b_norm if problem.b_norm is not None else problem.exact_b_norm()
-    if preset == "type-I":
-        params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
-    elif preset == "type-II":
-        params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
+    if preset == "custom":
+        params = {}
+    elif preset in ("type-I", "type-II"):
+        lam_max = (problem.b_lam_max if problem.b_lam_max is not None
+                   else problem.exact_b_norm() ** 2)
+        norm_b = problem.b_norm if problem.b_norm is not None else problem.exact_b_norm()
+        if preset == "type-I":
+            params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
+        else:
+            params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
     else:
-        raise ConfigError(f"unknown preset {preset!r} (expected 'type-I' or 'type-II')")
+        raise ConfigError(f"unknown preset {preset!r} (expected 'type-I', 'type-II' or 'custom')")
     if "gamma" not in overrides:
         gamma = problem.gamma_default
         if gamma is None:
@@ -160,11 +166,6 @@ class SolveTrace:
         return self.records[-1]
 
 
-def objective(problem, x):
-    """f(x) + g(x) + h(Bx) with +inf sentinel propagation."""
-    return problem.objective(x)
-
-
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
@@ -197,22 +198,26 @@ def _check_primal_dual(problem, config):
         )
 
 
-def _init_primal(problem, x0):
-    if x0 is not None:
-        return np.asarray(x0, dtype=float).ravel().copy()
-    if problem.x0 is not None:
-        return np.asarray(problem.x0, dtype=float).ravel().copy()
-    return np.zeros(problem.dim)
+def _start_state(problem, start):
+    """Resolve the start values, given as (state key, argument) pairs in state order.
+
+    An omitted first key takes ``problem.x0``, else zeros; an omitted ``y``
+    takes zeros in B's range; any other omitted key (``xbar``, ``v``) takes
+    a copy of the resolved first key.
+    """
+    state = []
+    for key, value in start:
+        if value is None and not state:
+            value = problem.x0 if problem.x0 is not None else np.zeros(problem.dim)
+        elif value is None:
+            value = np.zeros(problem.B.out_dim) if key == "y" else state[0]
+        state.append(np.asarray(value, dtype=float).ravel().copy())
+    return tuple(state)
 
 
-def _init_dual(problem, y0):
-    if y0 is not None:
-        return np.asarray(y0, dtype=float).ravel().copy()
-    return np.zeros(problem.B.out_dim)
-
-
-def _run(problem, config, solver, state, step, state_keys):
-    """Outer-loop driver: stopping test, divergence guard, trace recording."""
+def _run(problem, config, solver, step, start):
+    """Outer-loop driver: start state, stopping test, divergence guard, trace recording."""
+    state = _start_state(problem, start)
     records = []
     iterates = [] if config.record_iterates else None
     x_prev = None
@@ -256,7 +261,7 @@ def _run(problem, config, solver, state, step, state_keys):
         final_x=x_prev,
         converged=converged,
         total_outer=k,
-        final_state=dict(zip(state_keys, state)),
+        final_state=dict(zip((key for key, _ in start), state)),
         iterates=iterates,
     )
 
@@ -288,8 +293,7 @@ def solve_fb_dual(problem, config, x0=None, y0=None):
         x = g.prox(gamma, u - gamma * B.adjoint_apply(y))
         return (x, y), x, J
 
-    return _run(problem, config, "fb-dual",
-                (_init_primal(problem, x0), _init_dual(problem, y0)), step, ("x", "y"))
+    return _run(problem, config, "fb-dual", step, (("x", x0), ("y", y0)))
 
 
 def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
@@ -321,10 +325,7 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
             xb = xb_new
         return (xb, xb, y), xb, J
 
-    x_init = _init_primal(problem, x0)
-    xb_init = x_init.copy() if xbar0 is None else np.asarray(xbar0, dtype=float).ravel().copy()
-    return _run(problem, config, "fb-pd",
-                (x_init, xb_init, _init_dual(problem, y0)), step, ("x", "xbar", "y"))
+    return _run(problem, config, "fb-pd", step, (("x", x0), ("xbar", xbar0), ("y", y0)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +357,7 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
         z = z + (u - gamma * B.adjoint_apply(y)) - x
         return (z, y), x, J
 
-    return _run(problem, config, "tos-dual",
-                (_init_primal(problem, z0), _init_dual(problem, y0)), step, ("z", "y"))
+    return _run(problem, config, "tos-dual", step, (("z", z0), ("y", y0)))
 
 
 def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
@@ -387,10 +387,7 @@ def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
         z = z + v - x
         return (z, v, y), x, J
 
-    z_init = _init_primal(problem, z0)
-    v_init = z_init.copy() if v0 is None else np.asarray(v0, dtype=float).ravel().copy()
-    return _run(problem, config, "tos-pd",
-                (z_init, v_init, _init_dual(problem, y0)), step, ("z", "v", "y"))
+    return _run(problem, config, "tos-pd", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +414,7 @@ def solve_pdfp(problem, config, x0=None, y0=None):
         x = g.prox(gamma, u - gamma * B.adjoint_apply(y))
         return (x, y), x, 1
 
-    return _run(problem, config, "pdfp",
-                (_init_primal(problem, x0), _init_dual(problem, y0)), step, ("x", "y"))
+    return _run(problem, config, "pdfp", step, (("x", x0), ("y", y0)))
 
 
 def solve_condat_vu(problem, config, form="standard", x0=None, y0=None):
@@ -460,8 +456,7 @@ def solve_condat_vu(problem, config, form="standard", x0=None, y0=None):
         y = h.prox_conjugate(sigma_p, y + sigma_p * B.apply(2.0 * x_new - x))
         return (x_new, y), x_new, 1
 
-    return _run(problem, config, "condat-vu",
-                (_init_primal(problem, x0), _init_dual(problem, y0)), step, ("x", "y"))
+    return _run(problem, config, "condat-vu", step, (("x", x0), ("y", y0)))
 
 
 def solve_pd3o(problem, config, z0=None, y0=None):
@@ -486,8 +481,7 @@ def solve_pd3o(problem, config, z0=None, y0=None):
         z = x - gamma * grad - gamma * B.adjoint_apply(y)
         return (z, y), x, 1
 
-    return _run(problem, config, "pd3o",
-                (_init_primal(problem, z0), _init_dual(problem, y0)), step, ("z", "y"))
+    return _run(problem, config, "pd3o", step, (("z", z0), ("y", y0)))
 
 
 def solve_davis_yin(problem, config, z0=None, y0=None):
@@ -511,8 +505,7 @@ def solve_davis_yin(problem, config, z0=None, y0=None):
         z = x - gamma * grad - gamma * y
         return (z, y), x, 1
 
-    return _run(problem, config, "davis-yin",
-                (_init_primal(problem, z0), _init_dual(problem, y0)), step, ("z", "y"))
+    return _run(problem, config, "davis-yin", step, (("z", z0), ("y", y0)))
 
 
 def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
@@ -538,10 +531,7 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
         z = z + v_new - x
         return (z, v_new, y), x, 1
 
-    z_init = _init_primal(problem, z0)
-    v_init = z_init.copy() if v0 is None else np.asarray(v0, dtype=float).ravel().copy()
-    return _run(problem, config, "tos-pd-single",
-                (z_init, v_init, _init_dual(problem, y0)), step, ("z", "v", "y"))
+    return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
 SOLVERS = {
@@ -555,7 +545,3 @@ SOLVERS = {
     "davis-yin": solve_davis_yin,
     "tos-pd-single": solve_tos_pd_single,
 }
-
-#: solvers driven by lam (dual inner route) vs sigma/tau (primal-dual route)
-DUAL_SOLVERS = ("fb-dual", "tos-dual", "pdfp", "pd3o")
-PRIMAL_DUAL_SOLVERS = ("fb-pd", "tos-pd", "condat-vu", "tos-pd-single")

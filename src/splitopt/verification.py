@@ -222,7 +222,7 @@ def _max_traj_gap(tr_a, tr_b, skip_a=0, skip_b=0):
     return max(float(np.abs(a - b).max()) for a, b in zip(xa[:n], xb[:n]))
 
 
-def equivalence_suite(seed=0, iters=120):
+def equivalence_suite(seed=0, iters=200):
     """The reduction identities, checked pointwise to 1e-12 on a small instance."""
     p = build_fused_lasso(m=30, n=60, seed=seed)
     gamma = 1.9 / p.f.lipschitz

@@ -1,5 +1,6 @@
 import configparser
 import os
+import re
 import stat
 
 import pytest
@@ -23,6 +24,52 @@ inner_iters = 1
 eps = 1e-4
 max_outer = 4000
 output_dir = {out}
+"""
+
+
+TINY_CT = """\
+[experiment]
+name = constrained-tv-ct
+seed = 1
+img_side = 16
+views = 4
+rays = 12
+mu = 0.5
+
+[run]
+solvers = tos-dual
+presets = custom
+inner_iters = 2
+eps = 1e-3
+max_outer = 2000
+output_dir = {out}
+
+[custom]
+lambda = 0.125
+sigma = 0.125
+tau = 1.0
+"""
+
+TINY_LRTV = """\
+[experiment]
+name = lrtv-sr
+seed = 1
+rows = 8
+cols = 8
+factor = 2
+
+[run]
+solvers = fb-pd
+presets = custom
+inner_iters = 1
+eps = 1e-3
+max_outer = 20000
+output_dir = {out}
+
+[custom]
+gamma = 0.1
+sigma = 0.125
+tau = 1.0
 """
 
 
@@ -114,60 +161,50 @@ class TestRun:
 
     def test_ct_experiment_dispatch(self, tmp_path):
         out = tmp_path / "results"
-        text = f"""\
-[experiment]
-name = constrained-tv-ct
-seed = 1
-img_side = 16
-views = 4
-rays = 12
-mu = 0.5
-
-[run]
-solvers = tos-dual
-presets = custom
-inner_iters = 2
-eps = 1e-3
-max_outer = 2000
-output_dir = {out}
-
-[custom]
-lambda = 0.125
-sigma = 0.125
-tau = 1.0
-"""
-        assert cli.main(["run", write_config(tmp_path, text)]) == 0
+        assert cli.main(["run", write_config(tmp_path, TINY_CT.format(out=out))]) == 0
         trace = out / "custom" / "constrained-tv-ct_tos-dual_J2_eps0.001.csv"
         assert trace.read_text().splitlines()[0] == "iter,objective,rel_change,snr,nmsd"
 
     def test_lrtv_experiment_dispatch_includes_ssim_column(self, tmp_path):
         out = tmp_path / "results"
-        text = f"""\
-[experiment]
-name = lrtv-sr
-seed = 1
-rows = 8
-cols = 8
-factor = 2
-
-[run]
-solvers = fb-pd
-presets = custom
-inner_iters = 1
-eps = 1e-3
-max_outer = 20000
-output_dir = {out}
-
-[custom]
-gamma = 0.1
-sigma = 0.125
-tau = 1.0
-"""
-        assert cli.main(["run", write_config(tmp_path, text)]) == 0
+        assert cli.main(["run", write_config(tmp_path, TINY_LRTV.format(out=out))]) == 0
         trace = out / "custom" / "lrtv-sr_fb-pd_J1_eps0.001.csv"
         lines = trace.read_text().splitlines()
         assert lines[0] == "iter,objective,rel_change,snr,nmsd,ssim"
         assert lines[-1].count(",") == 5
+
+    @pytest.mark.parametrize("template", [TINY_LRTV, TINY_CT], ids=["lrtv-sr", "ct-tv"])
+    def test_custom_without_gamma_follows_the_preset_gamma_rule(self, tmp_path, monkeypatch,
+                                                                  template):
+        # the problem's suggested gamma (0.1 on lrtv-sr), else 1.9/L (ct-tv)
+        seen = []
+
+        def spy(solve):
+            return lambda problem, config, **kw: seen.append((problem, config)) or solve(
+                problem, config, **kw)
+
+        for solver_id in ("fb-pd", "tos-dual"):
+            monkeypatch.setitem(cli.SOLVERS, solver_id, spy(cli.SOLVERS[solver_id]))
+        text = template.format(out=tmp_path / "r").replace("gamma = 0.1\n", "")
+        text = re.sub(r"max_outer = \d+", "max_outer = 3", text)
+        assert cli.main(["run", write_config(tmp_path, text)]) == 0
+        (problem, config), = seen
+        expected = problem.gamma_default or 1.9 / problem.f.lipschitz
+        assert config.gamma == expected
+        assert config.param_preset == "custom"
+
+    def test_result_files_take_the_umask_mode(self, tmp_path):
+        out = tmp_path / "results"
+        text = TINY_CONFIG.format(out=out).replace("max_outer = 4000", "max_outer = 5")
+        cfg = write_config(tmp_path, text)
+        old = os.umask(0o027)
+        try:
+            assert cli.main(["run", cfg]) == 0
+        finally:
+            os.umask(old)
+        for path in (out / "summary.csv",
+                     out / "type-II" / "fused-lasso_fb-dual_J1_eps0.0001.csv"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
 
 class TestExitCodes:
@@ -208,6 +245,50 @@ class TestExitCodes:
             "presets = type-II", "presets = custom"
         ) + "\n[custom]\nlambda = 0.25\nsigma = 0.3\ntau = 1.0\n"
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+
+
+    @pytest.mark.parametrize("old, new", [
+        ("mu1 = 0.2", "mu_1 = 0.2"),
+        ("max_outer = 4000", "max_iter = 4000"),
+        ("tau = 1.0", "tua = 1.0"),
+    ], ids=["experiment", "run", "custom"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, old, new):
+        text = TINY_CONFIG.format(out=tmp_path / "r").replace(
+            "presets = type-II", "presets = custom"
+        ) + "\n[custom]\nlambda = 0.25\nsigma = 0.25\ntau = 1.0\n"
+        text = text.replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert new.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_nan_eps(self, tmp_path):
+        text = TINY_CONFIG.format(out=tmp_path / "r").replace("eps = 1e-4", "eps = nan")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+
+    def test_nan_custom_step_is_a_pairing_error(self, tmp_path):
+        text = TINY_CONFIG.format(out=tmp_path / "r").replace(
+            "presets = type-II", "presets = custom"
+        ) + "\n[custom]\nlambda = 0.25\nsigma = nan\ntau = 1.0\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+
+    def test_non_numeric_custom_value(self, tmp_path, capsys):
+        text = TINY_CONFIG.format(out=tmp_path / "r").replace(
+            "presets = type-II", "presets = custom"
+        ) + "\n[custom]\ngamma = abc\nlambda = 0.25\nsigma = 0.25\ntau = 1.0\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("old, new", [
+        ("presets = type-II", "presets = type-II, type-II"),
+        ("solvers = fb-dual, tos-pd", "solvers = fb-dual, tos-pd, fb-dual"),
+        ("inner_iters = 1", "inner_iters = 1, 01"),
+        ("eps = 1e-4", "eps = 1e-4, 0.0001"),
+    ], ids=["preset", "solver", "inner_iters", "eps"])
+    def test_colliding_cells_rejected_before_any_output(self, tmp_path, old, new):
+        out = tmp_path / "r"
+        text = TINY_CONFIG.format(out=out).replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestVerify:

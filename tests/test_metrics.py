@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitopt.metrics import MetricReport, metric_report, nmsd, snr, ssim_global
+from splitopt.metrics import nmsd, snr, ssim_global
 
 
 class TestSnrNmsd:
@@ -85,17 +85,3 @@ class TestSsim:
         with pytest.raises(ValueError):
             ssim_global(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
-
-class TestReport:
-    def test_bundles_all_three(self):
-        rng = np.random.default_rng(8)
-        f = rng.uniform(0, 1, (5, 5))
-        g = f + 0.01 * rng.standard_normal((5, 5))
-        rep = metric_report(f, g, image_shape=(5, 5), dynamic_range=1.0)
-        assert isinstance(rep, MetricReport)
-        assert rep.snr_db == pytest.approx(-20 * np.log10(rep.nmsd))
-        assert rep.ssim is not None and 0 < rep.ssim <= 1
-
-    def test_signal_report_has_no_ssim(self):
-        rep = metric_report(np.arange(4.0), np.arange(4.0) + 0.1)
-        assert rep.ssim is None

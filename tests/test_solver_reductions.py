@@ -69,16 +69,6 @@ def test_fb_pd_one_inner_step_is_condat_vu(problem):
     assert max_gap(tr_nested, tr_cv) < TOL
 
 
-def test_condat_vu_tau1_form_matches_standard(problem):
-    gamma = 1.9 / problem.f.lipschitz
-    sigma = 0.25
-    tr_tau1 = solve_condat_vu(problem, config(problem, sigma=sigma, tau=1.0), form="tau1")
-    tr_std = solve_condat_vu(
-        problem, config(problem, sigma=sigma / gamma, tau=gamma / 2.0), form="standard"
-    )
-    assert max_gap(tr_tau1, tr_std) < TOL
-
-
 def test_pd3o_identity_operator_is_davis_yin():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((30, 40))
@@ -106,11 +96,3 @@ def test_pdfp_matches_pd3o_x_iterates():
     tr_pd3o = solve_pd3o(p, c, z0=z0, y0=y0)
     assert len(tr_pdfp.iterates) >= 200
     assert max_gap(tr_pdfp, tr_pd3o, skip_b=1) < TOL
-
-
-def test_pdfp_and_pd3o_agree_in_the_limit_with_nonzero_g(problem):
-    # with g != 0 the trajectories differ transiently but reach the same point
-    c = SolverConfig(gamma=1.9 / problem.f.lipschitz, lam=0.25, eps=1e-12, max_outer=5000)
-    xa = solve_pdfp(problem, c).final_x
-    xb = solve_pd3o(problem, c).final_x
-    assert np.linalg.norm(xa - xb) / np.linalg.norm(xb) < 1e-8

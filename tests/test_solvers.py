@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from splitopt.solvers import (
     ConfigError,
     DivergenceError,
     SolverConfig,
-    objective,
     preset_config,
     solve_condat_vu,
     solve_davis_yin,
@@ -225,11 +226,11 @@ class TestObjective:
     def test_all_zero(self):
         p, _ = quadratic_identity_problem()
         p2 = SplitProblem(f=ZeroSmooth(4), g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
-        assert objective(p2, np.ones(4)) == 0.0
+        assert p2.objective(np.ones(4)) == 0.0
 
     def test_fused_lasso_at_zero(self):
         p = small_lasso()
-        assert objective(p, np.zeros(p.dim)) == pytest.approx(0.5 * p.f.target @ p.f.target)
+        assert p.objective(np.zeros(p.dim)) == pytest.approx(0.5 * p.f.target @ p.f.target)
 
     def test_termwise_recomputation(self):
         rng = np.random.default_rng(11)
@@ -239,7 +240,7 @@ class TestObjective:
         expected = (0.5 * np.sum((a @ x - p.f.target) ** 2)
                     + 0.2 * np.sum(np.abs(x))
                     + 0.8 * np.sum(np.abs(np.diff(x))))
-        assert objective(p, x) == expected
+        assert p.objective(x) == expected
 
 
 class TestConfigValidation:
@@ -274,6 +275,11 @@ class TestConfigValidation:
             SolverConfig(gamma=1.0, eps=0.0)
         with pytest.raises(ConfigError):
             SolverConfig(gamma=1.0, inner_iters=0)
+
+    @pytest.mark.parametrize("name", ["gamma", "eps", "lam", "sigma", "tau"])
+    def test_nan_rejected_at_construction(self, name):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(**{"gamma": 1.0, name: float("nan")})
 
     def test_presets_match_their_step_rules(self):
         p = small_lasso()
@@ -358,6 +364,27 @@ class TestCrossAlgorithmAgreement:
                 rel = np.linalg.norm(finals[a] - finals[b]) / np.linalg.norm(finals[b])
                 assert rel < 1e-5, (a, b, rel)
 
+    def test_condat_vu_tau1_form_matches_standard(self):
+        p = small_lasso()
+        gamma = 1.9 / p.f.lipschitz
+        sigma = 0.25
+        base = dict(gamma=gamma, eps=1e-16, max_outer=150, record_iterates=True)
+        tr_tau1 = solve_condat_vu(p, SolverConfig(sigma=sigma, tau=1.0, **base), form="tau1")
+        tr_std = solve_condat_vu(
+            p, SolverConfig(sigma=sigma / gamma, tau=gamma / 2.0, **base), form="standard"
+        )
+        assert len(tr_tau1.iterates) == 150
+        gap = max(float(np.abs(a - b).max()) for a, b in zip(tr_tau1.iterates, tr_std.iterates))
+        assert gap < 1e-12
+
+    def test_pdfp_and_pd3o_agree_in_the_limit_with_nonzero_g(self):
+        # with g != 0 the trajectories differ transiently but reach the same point
+        p = small_lasso()
+        c = SolverConfig(gamma=1.9 / p.f.lipschitz, lam=0.25, eps=1e-12, max_outer=5000)
+        xa = solve_pdfp(p, c).final_x
+        xb = solve_pd3o(p, c).final_x
+        assert np.linalg.norm(xa - xb) / np.linalg.norm(xb) < 1e-8
+
     def test_pdfp_preset_behavior_on_desk_instance(self):
         # the conservative step rule converges; the aggressive dual step may
         # stall at the iteration cap on the reference instance
@@ -377,6 +404,42 @@ class TestCrossAlgorithmAgreement:
         assert a.converged and b.converged
         rel = np.linalg.norm(a.final_x - b.final_x) / np.linalg.norm(a.final_x)
         assert rel < 0.05
+
+
+class TestStartState:
+    """Omitted start values: the first state key takes ``problem.x0``, else
+    zeros; ``y`` takes zeros in B's range; ``xbar``/``v`` copy the first key."""
+
+    @staticmethod
+    def _problem(x0=None):
+        rng = np.random.default_rng(12)
+        n = 9
+        return SplitProblem(f=LeastSquares(Identity(n), rng.standard_normal(n), lipschitz=1.0),
+                            g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(n), x0=x0)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_omitted_start_values_follow_one_rule(self, name):
+        solve = SOLVERS[name]
+        keys = [k for k in inspect.signature(solve).parameters if k.endswith("0")]
+        first = keys[0]
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=6,
+                         record_iterates=True)
+        start = np.random.default_rng(13).standard_normal(9)
+        kept = start.copy()
+
+        def explicit(x):
+            return {k: x if k in (first, "xbar0", "v0") else np.zeros(9) for k in keys}
+
+        given = solve(self._problem(), c, **explicit(start))
+        runs = [
+            (given, solve(self._problem(), c, **{first: start})),
+            (given, solve(self._problem(x0=start), c)),
+            (solve(self._problem(), c, **explicit(np.zeros(9))), solve(self._problem(), c)),
+        ]
+        for want, got in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(want.iterates, got.iterates))
+            assert want.final_state.keys() == got.final_state.keys()
+        assert np.array_equal(start, kept)
 
 
 class TestDivergenceDetection:
