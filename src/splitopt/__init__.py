@@ -20,8 +20,6 @@ from .operators import (
     Scaled,
     estimate_norm,
     make_blur_downsample,
-    make_difference_1d,
-    make_gradient_2d,
 )
 from .problems import (
     SplitProblem,

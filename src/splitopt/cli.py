@@ -11,8 +11,8 @@ The [experiment] keys are the parameters of the experiment's instance builder
 (with its signature defaults); a key that a section does not know is a
 malformed config, and so is a sweep in which two cells would write the same
 file (a repeated preset, solver id or inner_iters value, or two eps values
-that format alike).  The environment variable SPLITOPT_OUTPUT_DIR overrides
-the configured output directory.
+that format alike), and so is a file that is not valid INI.  The environment
+variable SPLITOPT_OUTPUT_DIR overrides the configured output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
 3 verification failure; 4 unwritable output directory; 5 unknown solver id;
@@ -21,8 +21,9 @@ Exit codes: 0 success; 1 malformed config; 2 solver divergence;
 Each sweep cell (solver, inner-iteration count, tolerance) writes one trace
 CSV ``<experiment>_<solver>_J<j>_eps<eps>.csv`` under a per-preset
 subdirectory, plus one row in ``summary.csv``; the Iter column of the summary
-reads MAXITER when the solver hit its iteration cap without converging.
-Files are written atomically and reruns of the same config are byte-identical.
+reads MAXITER when the solver hit its iteration cap without converging; a
+sweep removes any previous summary before its first cell.  Files are written
+atomically and reruns of the same config are byte-identical.
 """
 
 import argparse
@@ -34,7 +35,7 @@ import tempfile
 
 # the builders are module attributes that _EXPERIMENTS names
 from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem  # noqa: F401
-from .solvers import SOLVERS, ConfigError, DivergenceError, preset_config
+from .solvers import PRESETS, SOLVERS, ConfigError, DivergenceError, check_loop_control, preset_config
 from .verification import run_suite
 
 EXIT_OK = 0
@@ -144,8 +145,15 @@ def _check_keys(parser, section, known):
 
 def _read_config(path):
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise CliConfigError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise CliConfigError(f"cannot read config file {path!r}")
+        return _parse_config(parser)
+    except configparser.Error as exc:  # a repeated key, no section header, bad interpolation
+        raise CliConfigError(str(exc)) from None
+
+
+def _parse_config(parser):
     if "experiment" not in parser or "run" not in parser:
         raise CliConfigError("config needs [experiment] and [run] sections")
     experiment, run = parser["experiment"], parser["run"]
@@ -176,12 +184,12 @@ def _read_config(path):
     }
     if not cfg["solvers"]:
         raise CliConfigError("solver list is empty")
-    if not all(e > 0 for e in cfg["eps"]):
-        raise CliConfigError("all eps values must be positive")
-    if any(j < 1 for j in cfg["inner_iters"]):
-        raise CliConfigError("all inner_iters values must be >= 1")
+    for key in ("inner_iters", "eps"):
+        for value in cfg[key]:
+            check_loop_control(key, value)
+    check_loop_control("max_outer", cfg["max_outer"])
     for preset in cfg["presets"]:
-        if preset not in ("type-I", "type-II", "custom"):
+        if preset not in PRESETS:
             raise CliConfigError(f"unknown preset {preset!r}")
         if preset == "custom" and cfg["custom"] is None:
             raise CliConfigError("preset 'custom' needs a [custom] section")
@@ -239,12 +247,15 @@ def cmd_run(args):
             return EXIT_UNKNOWN_SOLVER
 
     out_dir = os.environ.get(ENV_OUTPUT_DIR) or cfg["output_dir"]
+    summary_path = os.path.join(out_dir, "summary.csv")
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
         with open(probe, "w") as fh:
             fh.write("ok")
         os.unlink(probe)
+        if os.path.exists(summary_path):  # a sweep that stops part-way leaves no stale summary
+            os.unlink(summary_path)
     except OSError as exc:
         print(f"output directory {out_dir!r} is not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_DIR
@@ -281,7 +292,7 @@ def cmd_run(args):
                     ]))
                     print(f"{preset} {solver_id} J={inner} eps={eps:g}: "
                           f"iters={iters} objective={last.objective:.9g}")
-    _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
+    _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     return EXIT_OK
 
 

@@ -19,8 +19,6 @@ __all__ = [
     "Gradient2D",
     "GaussianBlur",
     "DownsampleAverage",
-    "make_difference_1d",
-    "make_gradient_2d",
     "make_blur_downsample",
     "estimate_norm",
 ]
@@ -43,23 +41,17 @@ class LinearMap:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
+    def _vector(self, v, size, method):
+        v = np.asarray(v, dtype=float).ravel()
+        if v.size != size:
+            raise ValueError(f"{self.kind}: {method} expects a vector of length {size}, got {v.size}")
+        return v
+
     def apply(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.in_dim:
-            raise ValueError(
-                f"{self.kind}: apply expects a vector of length {self.in_dim}, got {x.size}"
-            )
-        return self._apply(x)
+        return self._apply(self._vector(x, self.in_dim, "apply"))
 
     def adjoint_apply(self, y):
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.out_dim:
-            raise ValueError(
-                f"{self.kind}: adjoint_apply expects a vector of length {self.out_dim}, got {y.size}"
-            )
-        return self._adjoint(y)
-
-    __call__ = apply
+        return self._adjoint(self._vector(y, self.out_dim, "adjoint_apply"))
 
     def _apply(self, x):
         raise NotImplementedError
@@ -164,8 +156,6 @@ class Difference1D(LinearMap):
     kind = "difference-1d"
 
     def __init__(self, n):
-        if n < 2:
-            raise ValueError(f"difference operator needs n >= 2, got {n}")
         super().__init__(n, n - 1)
 
     def _apply(self, x):
@@ -302,16 +292,6 @@ class DownsampleAverage(LinearMap):
         return (up / (f * f)).ravel()
 
 
-def make_difference_1d(n):
-    """The (n-1) x n forward-difference operator."""
-    return Difference1D(n)
-
-
-def make_gradient_2d(rows, cols):
-    """Stacked 2-d forward-difference gradient of a rows x cols image."""
-    return Gradient2D(rows, cols)
-
-
 def make_blur_downsample(rows, cols, sigma, factor):
     """Gaussian blur followed by block averaging (the super-resolution forward map)."""
     return Composite([GaussianBlur(rows, cols, sigma), DownsampleAverage(rows, cols, factor)])
@@ -325,8 +305,8 @@ def estimate_norm(op, tol=1e-8, max_iters=5000, seed=0):
     ``max_iters`` sweeps.  Returns 0.0 for the zero operator.  Deterministic
     for a fixed seed.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(op.in_dim)
     nq = np.linalg.norm(q)

@@ -9,18 +9,13 @@ Noise arguments are variances; the standard deviation used is sqrt(noise_var).
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    DenseMatrix,
-    estimate_norm,
-    make_blur_downsample,
-    make_difference_1d,
-    make_gradient_2d,
-)
+from .operators import DenseMatrix, Difference1D, Gradient2D, estimate_norm, make_blur_downsample
 from .proxfuncs import GroupL21, L1Norm, NonnegativeIndicator, NuclearNorm
 from .smooth import LeastSquares
 
@@ -40,10 +35,11 @@ __all__ = [
 class SplitProblem:
     """One instance of  min_x f(x) + g(x) + h(Bx)  plus experiment metadata.
 
-    ``b_lam_max`` and ``b_norm`` are the preferred spectral constants of B for
-    choosing step sizes (the conventional rounded values where the experiment
-    defines them); ``exact_b_norm`` gives the power-iteration estimate used
-    for validating step-size conditions.
+    ``b_lam_max`` is the preferred spectral constant lambda_max(B B^T) for
+    choosing step sizes (the conventional rounded value where the experiment
+    defines one) and ``b_norm`` its square root; ``exact_b_norm`` gives the
+    power-iteration estimate used for validating step-size conditions.  SSIM
+    is recorded when both ``image_shape`` and ``dynamic_range`` are set.
     """
 
     f: object
@@ -55,12 +51,10 @@ class SplitProblem:
     image_shape: tuple | None = None
     x0: np.ndarray | None = None
     b_lam_max: float | None = None
-    b_norm: float | None = None
     gamma_default: float | None = None
     dynamic_range: float | None = None
-    record_ssim: bool = False
     meta: dict = field(default_factory=dict)
-    _b_norm_cache: float | None = field(default=None, repr=False)
+    _b_norm_cache: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         f_op = getattr(self.f, "op", None)
@@ -79,6 +73,14 @@ class SplitProblem:
     def dim(self):
         return self.B.in_dim
 
+    @property
+    def b_norm(self):
+        return None if self.b_lam_max is None else math.sqrt(self.b_lam_max)
+
+    @property
+    def record_ssim(self):
+        return self.dynamic_range is not None and self.image_shape is not None
+
     def exact_b_norm(self):
         if self._b_norm_cache is None:
             self._b_norm_cache = estimate_norm(self.B)
@@ -95,6 +97,13 @@ class SplitProblem:
 
 # 1-based inclusive support blocks of the length-200 reference signal
 _SIGNAL_BLOCKS = ((1, 20, 2.0), (41, 41, 3.0), (71, 85, 1.0), (121, 125, 2.0))
+
+
+def _gaussian_noise(rng, noise_var, size):
+    # centered, of variance noise_var: one standard-normal draw of ``size``
+    if not noise_var >= 0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    return np.sqrt(noise_var) * rng.standard_normal(size)
 
 
 def fused_lasso_signal(n):
@@ -130,18 +139,16 @@ def build_fused_lasso(m=100, n=200, mu1=0.2, mu2=0.8, noise_var=0.01, seed=0):
     rng = np.random.default_rng(seed)
     x_true = fused_lasso_signal(n)
     a = rng.standard_normal((m, n))
-    noise = np.sqrt(noise_var) * rng.standard_normal(m)
-    b = a @ x_true + noise
+    b = a @ x_true + _gaussian_noise(rng, noise_var, m)
     return SplitProblem(
         f=LeastSquares(DenseMatrix(a), b),
         g=L1Norm(mu1),
         h=L1Norm(mu2),
-        B=make_difference_1d(n),
+        B=Difference1D(n),
         ground_truth=x_true,
         name="fused-lasso",
-        # conventional step-size constants for the 1-d difference operator
+        # conventional step-size constant for the 1-d difference operator
         b_lam_max=4.0,
-        b_norm=2.0,
         meta={"m": m, "n": n, "mu1": mu1, "mu2": mu2, "noise_var": noise_var, "seed": seed},
     )
 
@@ -271,18 +278,17 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
     angles = rng.uniform(0.0, 2.0 * np.pi, size=views)
     a = fan_beam_matrix(img_side, angles, rays)
     x_true = phantom.ravel()
-    b = a @ x_true + np.sqrt(noise_var) * rng.standard_normal(a.shape[0])
+    b = a @ x_true + _gaussian_noise(rng, noise_var, a.shape[0])
     h = GroupL21(mu) if tv_kind == "iso" else L1Norm(mu)
     return SplitProblem(
         f=LeastSquares(DenseMatrix(a), b),
         g=NonnegativeIndicator(),
         h=h,
-        B=make_gradient_2d(img_side, img_side),
+        B=Gradient2D(img_side, img_side),
         ground_truth=x_true,
         name="constrained-tv-ct",
         image_shape=(img_side, img_side),
         b_lam_max=8.0,
-        b_norm=float(np.sqrt(8.0)),
         meta={
             "img_side": img_side, "views": views, "rays": rays, "mu": mu,
             "noise_var": noise_var, "tv_kind": tv_kind, "seed": seed,
@@ -328,11 +334,10 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
     rank-one terms, the term weight, then the row profile (edge, levels), then
     the column profile.
     """
-    if rows % factor or cols % factor:
-        raise ValueError(f"image {rows}x{cols} not divisible by factor {factor}")
-    rng = np.random.default_rng(seed)
-    x_img = _block_low_rank_image(rows, cols, max(factor, 1), rng)
+    # built first: the forward map rejects a factor that does not tile the image
     forward = make_blur_downsample(rows, cols, blur_sigma, factor)
+    rng = np.random.default_rng(seed)
+    x_img = _block_low_rank_image(rows, cols, factor, rng)
     t = forward.apply(x_img.ravel())
     t_img = t.reshape(rows // factor, cols // factor)
     x0 = np.repeat(np.repeat(t_img, factor, axis=0), factor, axis=1).ravel()
@@ -340,16 +345,14 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
         f=LeastSquares(forward, t),
         g=NuclearNorm(lambda1, (rows, cols)),
         h=GroupL21(lambda2),
-        B=make_gradient_2d(rows, cols),
+        B=Gradient2D(rows, cols),
         ground_truth=x_img.ravel(),
         name="lrtv-sr",
         image_shape=(rows, cols),
         x0=x0,
         b_lam_max=8.0,
-        b_norm=float(np.sqrt(8.0)),
         gamma_default=0.1,
         dynamic_range=float(x_img.max() - x_img.min()),
-        record_ssim=True,
         meta={
             "rows": rows, "cols": cols, "blur_sigma": blur_sigma, "factor": factor,
             "lambda1": lambda1, "lambda2": lambda2, "seed": seed,

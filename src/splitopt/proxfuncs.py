@@ -33,8 +33,24 @@ def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def _positive(value, what):
+    if not value > 0:  # written so that NaN fails too
+        raise ValueError(f"{what} must be positive, got {value}")
+    return float(value)
+
+
+def _weight(value):
+    if not value >= 0:
+        raise ValueError(f"weight must be nonnegative, got {value}")
+    return float(value)
+
+
+def _vector(v):
+    return np.asarray(v, dtype=float).ravel()
+
+
 class ProxFunction:
-    """Base class; subclasses provide ``value`` and ``_prox``."""
+    """Base class; subclasses provide ``value`` and ``_prox`` (given a checked step, a flat vector)."""
 
     kind = "abstract"
     weight = 1.0
@@ -45,39 +61,31 @@ class ProxFunction:
     def _prox(self, step, v):
         raise NotImplementedError
 
+    def _prox_conjugate(self, step, v):
+        return v - step * self._prox(1.0 / step, v / step)
+
     def prox(self, step, v):
         """prox_{step * f}(v), the exact minimizer of 0.5||x-v||^2 + step f(x)."""
-        if step <= 0:
-            raise ValueError(f"prox step must be positive, got {step}")
-        return self._prox(float(step), np.asarray(v, dtype=float).ravel())
+        return self._prox(_positive(step, "prox step"), _vector(v))
 
     def prox_conjugate(self, step, v):
         """prox_{step * f*}(v) via the Moreau decomposition."""
-        if step <= 0:
-            raise ValueError(f"prox step must be positive, got {step}")
-        v = np.asarray(v, dtype=float).ravel()
-        return v - step * self.prox(1.0 / step, v / step)
+        return self._prox_conjugate(_positive(step, "prox step"), _vector(v))
 
     def scaled_conjugate_prox(self, lam, v):
         """prox_{(lam * f)*}(v) = lam * prox_{f* / lam}(v / lam)."""
-        if lam <= 0:
-            raise ValueError(f"scaling must be positive, got {lam}")
-        v = np.asarray(v, dtype=float).ravel()
-        return lam * self.prox_conjugate(1.0 / lam, v / lam)
+        lam = _positive(lam, "scaling")
+        return lam * self._prox_conjugate(1.0 / lam, _vector(v) / lam)
 
     def envelope_gradient(self, lam, x):
         """Gradient (x - prox_{lam f}(x)) / lam of the Moreau envelope; (1/lam)-Lipschitz."""
-        if lam <= 0:
-            raise ValueError(f"smoothing parameter must be positive, got {lam}")
-        x = np.asarray(x, dtype=float).ravel()
-        return (x - self.prox(lam, x)) / lam
+        lam, x = _positive(lam, "smoothing parameter"), _vector(x)
+        return (x - self._prox(lam, x)) / lam
 
     def envelope_value(self, lam, x):
         """inf_y f(y) + ||x - y||^2 / (2 lam), the infimum attained at the prox."""
-        if lam <= 0:
-            raise ValueError(f"smoothing parameter must be positive, got {lam}")
-        x = np.asarray(x, dtype=float).ravel()
-        p = self.prox(lam, x)
+        lam, x = _positive(lam, "smoothing parameter"), _vector(x)
+        p = self._prox(lam, x)
         return float(self.value(p) + np.sum((x - p) ** 2) / (2.0 * lam))
 
 
@@ -87,9 +95,7 @@ class L1Norm(ProxFunction):
     kind = "l1"
 
     def __init__(self, weight):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
-        self.weight = float(weight)
+        self.weight = _weight(weight)
 
     def value(self, x):
         return self.weight * float(np.sum(np.abs(x)))
@@ -109,9 +115,7 @@ class GroupL21(ProxFunction):
     kind = "group-l21"
 
     def __init__(self, weight):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
-        self.weight = float(weight)
+        self.weight = _weight(weight)
 
     @staticmethod
     def _split(x):
@@ -121,7 +125,7 @@ class GroupL21(ProxFunction):
         return x[:n], x[n:]
 
     def value(self, x):
-        a, b = self._split(np.asarray(x, dtype=float).ravel())
+        a, b = self._split(_vector(x))
         return self.weight * float(np.sum(np.hypot(a, b)))
 
     def _prox(self, step, v):
@@ -176,12 +180,10 @@ class NuclearNorm(ProxFunction):
     kind = "nuclear"
 
     def __init__(self, weight, shape):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
+        self.weight = _weight(weight)
         rows, cols = int(shape[0]), int(shape[1])
         if rows < 1 or cols < 1:
             raise ValueError(f"invalid matrix shape {shape}")
-        self.weight = float(weight)
         self.shape = (rows, cols)
 
     def _as_matrix(self, x):
@@ -193,7 +195,7 @@ class NuclearNorm(ProxFunction):
         return x.reshape(rows, cols)
 
     def value(self, x):
-        m = self._as_matrix(np.asarray(x, dtype=float).ravel())
+        m = self._as_matrix(_vector(x))
         return self.weight * float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
     def _prox(self, step, v):
@@ -210,13 +212,11 @@ class QuadraticDistance(ProxFunction):
     kind = "quadratic-distance"
 
     def __init__(self, weight, center):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
-        self.weight = float(weight)
-        self.center = np.asarray(center, dtype=float).ravel()
+        self.weight = _weight(weight)
+        self.center = _vector(center)
 
     def value(self, x):
-        return 0.5 * self.weight * float(np.sum((np.asarray(x, dtype=float).ravel() - self.center) ** 2))
+        return 0.5 * self.weight * float(np.sum((_vector(x) - self.center) ** 2))
 
     def _prox(self, step, v):
         tw = step * self.weight

@@ -41,6 +41,8 @@ __all__ = [
     "IterationRecord",
     "DivergenceError",
     "ConfigError",
+    "PRESETS",
+    "check_loop_control",
     "preset_config",
     "solve_fb_dual",
     "solve_fb_primal_dual",
@@ -68,6 +70,18 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+#: the named step rules of ``preset_config``
+PRESETS = ("type-I", "type-II", "custom")
+
+
+def check_loop_control(name, value):
+    """Raise ConfigError unless the loop control ``name`` has a valid ``value``:
+    ``eps`` must be positive, ``inner_iters`` and ``max_outer`` at least 1."""
+    # negated, so that NaN fails too
+    if not (value > 0 if name == "eps" else value >= 1):
+        raise ConfigError(f"{name} must be {'positive' if name == 'eps' else '>= 1'}, got {value}")
+
+
 @dataclass
 class SolverConfig:
     """Step sizes and loop controls shared by all solvers.
@@ -92,12 +106,8 @@ class SolverConfig:
         # positivity is tested as ``not x > 0`` so that NaN is rejected too
         if not self.gamma > 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        if self.inner_iters < 1:
-            raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.max_outer < 1:
-            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
+        for name in ("inner_iters", "eps", "max_outer"):
+            check_loop_control(name, getattr(self, name))
         for name in ("lam", "sigma", "tau"):
             val = getattr(self, name)
             if val is not None and not val > 0:
@@ -116,9 +126,10 @@ def preset_config(problem, preset, **overrides):
     (``b_lam_max``/``b_norm``) when set, otherwise from power iteration;
     gamma defaults to the problem's suggested value or 1.9/L.
     """
-    if preset == "custom":
-        params = {}
-    elif preset in ("type-I", "type-II"):
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
+    params = {}
+    if preset != "custom":
         lam_max = (problem.b_lam_max if problem.b_lam_max is not None
                    else problem.exact_b_norm() ** 2)
         norm_b = problem.b_norm if problem.b_norm is not None else problem.exact_b_norm()
@@ -126,8 +137,6 @@ def preset_config(problem, preset, **overrides):
             params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
         else:
             params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
-    else:
-        raise ConfigError(f"unknown preset {preset!r} (expected 'type-I', 'type-II' or 'custom')")
     if "gamma" not in overrides:
         gamma = problem.gamma_default
         if gamma is None:
@@ -225,7 +234,6 @@ def _run(problem, config, solver, step, start):
     converged = False
     k = 0
     gt = problem.ground_truth
-    img_shape = problem.image_shape
     for k in range(1, config.max_outer + 1):
         state, x, inner = step(state)
         if not np.all(np.isfinite(x)):
@@ -242,11 +250,9 @@ def _run(problem, config, solver, step, start):
         if gt is not None:
             rec.snr = _snr(gt, x)
             rec.nmsd = _nmsd(gt, x)
-            if problem.record_ssim and img_shape is not None:
-                rec.ssim = _ssim(
-                    gt.reshape(img_shape), x.reshape(img_shape),
-                    problem.dynamic_range or 1.0,
-                )
+            if problem.record_ssim:
+                shape = problem.image_shape
+                rec.ssim = _ssim(gt.reshape(shape), x.reshape(shape), problem.dynamic_range)
         records.append(rec)
         if iterates is not None:
             iterates.append(x.copy())

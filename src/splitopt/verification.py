@@ -9,14 +9,14 @@ import numpy as np
 from .operators import (
     Composite,
     DenseMatrix,
+    Difference1D,
     DownsampleAverage,
     GaussianBlur,
+    Gradient2D,
     Identity,
     Scaled,
     estimate_norm,
     make_blur_downsample,
-    make_difference_1d,
-    make_gradient_2d,
 )
 from .problems import SplitProblem, build_fused_lasso
 from .proxfuncs import (
@@ -135,12 +135,12 @@ def _operator_library(rng):
     return [
         Identity(12),
         DenseMatrix(rng.standard_normal((5, 7))),
-        make_difference_1d(15),
-        make_gradient_2d(6, 5),
+        Difference1D(15),
+        Gradient2D(6, 5),
         GaussianBlur(8, 8, 1.0),
         DownsampleAverage(8, 8, 2),
         make_blur_downsample(8, 8, 1.0, 2),
-        Scaled(-1.7, make_difference_1d(9)),
+        Scaled(-1.7, Difference1D(9)),
     ]
 
 
@@ -184,7 +184,7 @@ def operator_suite(seed=0):
 
     worst = 0.0
     for n in (2, 3, 5, 8, 17, 32):
-        d = make_difference_1d(n).to_dense()
+        d = Difference1D(n).to_dense()
         eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
         expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n))
         worst = max(worst, float(np.abs(eigs - expected).max()))
@@ -196,12 +196,12 @@ def operator_suite(seed=0):
     rel = abs(est - true) / true
     results.append(("power-iteration-vs-svd", rel <= 1e-6, f"rel err {rel:.2e}"))
 
-    est = estimate_norm(make_difference_1d(200)) ** 2
+    est = estimate_norm(Difference1D(200)) ** 2
     true = 2.0 - 2.0 * np.cos(199 * np.pi / 200)
     results.append(("difference-1d-spectral-constant", abs(est - true) <= 1e-4,
                     f"estimate {est:.6f}, closed form {true:.6f}"))
 
-    est = estimate_norm(make_gradient_2d(64, 64)) ** 2
+    est = estimate_norm(Gradient2D(64, 64)) ** 2
     results.append(("gradient-2d-spectral-constant", 7.9 <= est <= 8.0, f"estimate {est:.6f}"))
 
     comp = make_blur_downsample(8, 8, 1.0, 2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from splitopt.metrics import ssim_global
-from splitopt.operators import estimate_norm, make_difference_1d, make_gradient_2d
+from splitopt.operators import Difference1D, Gradient2D, estimate_norm
 from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import (
     BoxIndicator,
@@ -105,9 +105,9 @@ def test_criterion_3_envelope_gradient_finite_differences():
 
 
 def test_criterion_4_spectral_facts():
-    est_d = estimate_norm(make_difference_1d(200)) ** 2
+    est_d = estimate_norm(Difference1D(200)) ** 2
     closed = 2.0 - 2.0 * np.cos(199 * np.pi / 200)
-    est_g = estimate_norm(make_gradient_2d(64, 64)) ** 2
+    est_g = estimate_norm(Gradient2D(64, 64)) ** 2
     ok = abs(est_d - closed) < 1e-4 and 7.9 <= est_g <= 8.0
     report(4, ok, f"difference-1d(200) lambda_max {est_d:.6f} (closed form {closed:.6f}); "
                   f"gradient-2d(64) {est_g:.6f} in [7.9, 8.0]")

@@ -206,6 +206,17 @@ class TestRun:
                      out / "type-II" / "fused-lasso_fb-dual_J1_eps0.0001.csv"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
+    def test_failed_sweep_leaves_no_stale_summary(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", write_config(tmp_path, TINY_CONFIG.format(out=out))]) == 0
+        # sigma tau ||B||^2 >= 1: fb-dual runs, then tos-pd is refused
+        text = TINY_CONFIG.format(out=out).replace(
+            "presets = type-II", "presets = custom"
+        ) + "\n[custom]\nlambda = 0.25\nsigma = 0.3\ntau = 1.0\n"
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+        assert (out / "custom" / "fused-lasso_fb-dual_J1_eps0.0001.csv").exists()
+        assert not (out / "summary.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -289,6 +300,30 @@ class TestExitCodes:
         text = TINY_CONFIG.format(out=out).replace(old, new)
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("template, old, new", [
+        (TINY_CONFIG, "mu2 = 0.8", "mu2 = nan"),
+        (TINY_CONFIG, "noise_var = 0.01", "noise_var = -0.01"),
+        (TINY_CONFIG, "noise_var = 0.01", "noise_var = nan"),
+        (TINY_CONFIG, "max_outer = 4000", "max_outer = 0"),
+        (TINY_LRTV, "factor = 2", "factor = 0"),
+    ], ids=["mu2-nan", "noise_var-negative", "noise_var-nan", "max_outer-zero", "factor-zero"])
+    def test_bad_number_rejected_before_any_output(self, tmp_path, capsys, template, old, new):
+        out = tmp_path / "r"
+        text = template.format(out=out).replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("seed = 3\n", "seed = 3\nseed = 4\n"),
+        ("[experiment]\n", ""),
+    ], ids=["repeated-key", "no-section-header"])
+    def test_malformed_ini_syntax(self, tmp_path, capsys, old, new):
+        text = TINY_CONFIG.format(out=tmp_path / "r").replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestVerify:

@@ -4,14 +4,14 @@ import pytest
 from splitopt.operators import (
     Composite,
     DenseMatrix,
+    Difference1D,
     DownsampleAverage,
     GaussianBlur,
+    Gradient2D,
     Identity,
     Scaled,
     estimate_norm,
     make_blur_downsample,
-    make_difference_1d,
-    make_gradient_2d,
 )
 
 
@@ -28,12 +28,12 @@ def all_operators(rng):
     return [
         Identity(12),
         DenseMatrix(rng.standard_normal((5, 7))),
-        make_difference_1d(15),
-        make_gradient_2d(6, 5),
+        Difference1D(15),
+        Gradient2D(6, 5),
         GaussianBlur(8, 8, 1.0),
         DownsampleAverage(8, 8, 2),
         make_blur_downsample(8, 8, 1.0, 2),
-        Scaled(-1.7, make_difference_1d(9)),
+        Scaled(-1.7, Difference1D(9)),
     ]
 
 
@@ -44,19 +44,19 @@ class TestApply:
     def test_difference_1d_matches_explicit_matrix(self):
         x = np.array([1.0, 2.0, 4.0])
         oracle = explicit_difference_matrix(3) @ x
-        np.testing.assert_array_equal(make_difference_1d(3).apply(x), oracle)
+        np.testing.assert_array_equal(Difference1D(3).apply(x), oracle)
         np.testing.assert_array_equal(oracle, [1.0, 2.0])
 
     def test_gradient_constant_image(self):
-        out = make_gradient_2d(4, 4).apply(np.full(16, 3.7))
+        out = Gradient2D(4, 4).apply(np.full(16, 3.7))
         assert out.shape == (32,)
         np.testing.assert_array_equal(out, np.zeros(32))
 
     def test_dimension_mismatch_message(self):
         with pytest.raises(ValueError, match="15"):
-            make_difference_1d(15).apply(np.zeros(14))
+            Difference1D(15).apply(np.zeros(14))
         with pytest.raises(ValueError, match="14"):
-            make_difference_1d(15).adjoint_apply(np.zeros(15))
+            Difference1D(15).adjoint_apply(np.zeros(15))
 
 
 class TestAdjoint:
@@ -66,7 +66,7 @@ class TestAdjoint:
     def test_difference_1d_matches_transpose(self):
         y = np.array([1.0, 0.0])
         oracle = explicit_difference_matrix(3).T @ y
-        np.testing.assert_array_equal(make_difference_1d(3).adjoint_apply(y), oracle)
+        np.testing.assert_array_equal(Difference1D(3).adjoint_apply(y), oracle)
         np.testing.assert_array_equal(oracle, [-1.0, 1.0, 0.0])
 
     def test_dense_dot_identity(self):
@@ -103,15 +103,15 @@ class TestAdjoint:
 class TestDifference1D:
     def test_n2_single_row(self):
         a, b = 2.5, -1.0
-        np.testing.assert_allclose(make_difference_1d(2).apply([a, b]), [b - a])
+        np.testing.assert_allclose(Difference1D(2).apply([a, b]), [b - a])
 
     def test_n200_largest_eigenvalue(self):
         # closed form for the spectrum of D D^T
-        est = estimate_norm(make_difference_1d(200)) ** 2
+        est = estimate_norm(Difference1D(200)) ** 2
         assert abs(est - (2 - 2 * np.cos(199 * np.pi / 200))) < 1e-4
 
     def test_n5_full_spectrum_dense_oracle(self):
-        d = make_difference_1d(5).to_dense()
+        d = Difference1D(5).to_dense()
         np.testing.assert_array_equal(d, explicit_difference_matrix(5))
         eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
         expected = np.sort(2 - 2 * np.cos(np.arange(1, 5) * np.pi / 5))
@@ -119,36 +119,36 @@ class TestDifference1D:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 32])
     def test_spectrum_closed_form_upto_32(self, n):
-        d = make_difference_1d(n).to_dense()
+        d = Difference1D(n).to_dense()
         eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
         expected = np.sort(2 - 2 * np.cos(np.arange(1, n) * np.pi / n))
         np.testing.assert_allclose(eigs, expected, atol=1e-9)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            make_difference_1d(1)
+            Difference1D(1)
 
 
 class TestGradient2D:
     def test_2x2_hand_expansion(self):
         a, b, c, d = 1.0, 4.0, -2.0, 7.0
-        out = make_gradient_2d(2, 2).apply([a, b, c, d])
+        out = Gradient2D(2, 2).apply([a, b, c, d])
         np.testing.assert_allclose(out[:4], [b - a, 0.0, d - c, 0.0])
         np.testing.assert_allclose(out[4:], [c - a, d - b, 0.0, 0.0])
 
     def test_64_spectral_constant(self):
-        est = estimate_norm(make_gradient_2d(64, 64)) ** 2
+        est = estimate_norm(Gradient2D(64, 64)) ** 2
         assert 7.9 <= est <= 8.0
 
     def test_closed_form_small(self):
         # lambda_max(D D^T) = 2 (2 + 2 cos(pi/n)) for an n x n grid
         for n in (4, 8):
-            est = estimate_norm(make_gradient_2d(n, n)) ** 2
+            est = estimate_norm(Gradient2D(n, n)) ** 2
             assert abs(est - 2 * (2 + 2 * np.cos(np.pi / n))) < 1e-4
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            make_gradient_2d(1, 5)
+            Gradient2D(1, 5)
 
 
 class TestBlurDownsample:
@@ -195,7 +195,7 @@ class TestEstimateNorm:
         assert abs(estimate_norm(Identity(10)) - 1.0) < 1e-8
 
     def test_difference_200(self):
-        est = estimate_norm(make_difference_1d(200))
+        est = estimate_norm(Difference1D(200))
         assert abs(est - np.sqrt(2 - 2 * np.cos(199 * np.pi / 200))) < 1e-4
 
     def test_against_svd(self):
@@ -208,7 +208,7 @@ class TestEstimateNorm:
         assert estimate_norm(DenseMatrix(np.zeros((4, 5)))) == 0.0
 
     def test_deterministic_given_seed(self):
-        op = make_gradient_2d(7, 9)
+        op = Gradient2D(7, 9)
         assert estimate_norm(op, seed=5) == estimate_norm(op, seed=5)
 
     @pytest.mark.parametrize("idx", range(8))
@@ -221,14 +221,15 @@ class TestEstimateNorm:
             assert np.linalg.norm(op.apply(x)) <= (1 + 1e-6) * est * np.linalg.norm(x)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            estimate_norm(Identity(3), tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                estimate_norm(Identity(3), tol=tol)
 
 
 class TestComposite:
     def test_chain_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Composite([make_difference_1d(5), make_difference_1d(5)])
+            Composite([Difference1D(5), Difference1D(5)])
 
     def test_scaled(self):
         op = Scaled(-2.0, Identity(3))

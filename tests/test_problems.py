@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from splitopt.operators import make_difference_1d
+from splitopt.operators import Difference1D
 from splitopt.problems import (
     build_ct_problem,
     build_fused_lasso,
@@ -47,7 +47,7 @@ class TestFusedLassoInstance:
         # brute-force oracle: sum the absolute jumps one by one
         tv = sum(abs(x[i + 1] - x[i]) for i in range(199))
         assert tv == 14.0
-        d = make_difference_1d(200)
+        d = Difference1D(200)
         assert np.sum(np.abs(d.apply(x))) == tv
 
     def test_scaled_signal_below_126(self):
@@ -234,7 +234,7 @@ class TestLrtvInstance:
 
 class TestDimensionChain:
     def test_mismatched_smooth_term_rejected(self):
-        from splitopt.operators import DenseMatrix, make_difference_1d
+        from splitopt.operators import DenseMatrix, Difference1D
         from splitopt.proxfuncs import L1Norm
         from splitopt.smooth import LeastSquares
         from splitopt.problems import SplitProblem
@@ -243,18 +243,18 @@ class TestDimensionChain:
         with pytest.raises(ValueError, match="domain"):
             SplitProblem(
                 f=LeastSquares(DenseMatrix(rng.standard_normal((4, 7))), np.zeros(4)),
-                g=L1Norm(0.1), h=L1Norm(0.1), B=make_difference_1d(6),
+                g=L1Norm(0.1), h=L1Norm(0.1), B=Difference1D(6),
             )
 
     def test_mismatched_matrix_penalty_rejected(self):
-        from splitopt.operators import make_gradient_2d
+        from splitopt.operators import Gradient2D
         from splitopt.proxfuncs import L1Norm, NuclearNorm
         from splitopt.smooth import ZeroSmooth
         from splitopt.problems import SplitProblem
 
         with pytest.raises(ValueError, match="shape"):
             SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
-                         h=L1Norm(0.1), B=make_gradient_2d(4, 4))
+                         h=L1Norm(0.1), B=Gradient2D(4, 4))
 
 
 class TestExport:

@@ -99,8 +99,13 @@ class TestProxValues:
             NuclearNorm(1.0, (2, 2)).prox(1.0, np.zeros(6))
 
     def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            L1Norm(1.0).prox(0.0, np.zeros(3))
+        f = L1Norm(1.0)
+        methods = (f.prox, f.prox_conjugate, f.scaled_conjugate_prox,
+                   f.envelope_gradient, f.envelope_value)
+        for step in (0.0, float("nan")):
+            for method in methods:
+                with pytest.raises(ValueError, match="must be positive"):
+                    method(step, np.zeros(3))
 
 
 class TestValue:

@@ -1,10 +1,11 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from splitopt.operators import DenseMatrix, Identity, make_difference_1d
-from splitopt.problems import SplitProblem, build_fused_lasso
+from splitopt.operators import DenseMatrix, Identity
+from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
 from splitopt.smooth import LeastSquares, ZeroSmooth
 from splitopt.solvers import (
@@ -292,6 +293,15 @@ class TestConfigValidation:
         assert c2.gamma == pytest.approx(1.9 / p.f.lipschitz)
         with pytest.raises(ConfigError):
             preset_config(p, "type-III")
+        # the 2-d gradient's conventional lambda_max = 8, pinned to the bit:
+        # ||B|| = sqrt(8) and ||B||^2 = 8.000000000000002, not 8
+        for build in (build_ct_problem, build_lrtv_problem):
+            p = build()
+            assert p.b_lam_max == 8.0 and p.b_norm == math.sqrt(8.0)
+            c1 = preset_config(p, "type-I", gamma=0.1)
+            assert (c1.lam, c1.sigma, c1.tau) == (0.2375, 0.12499999999999997, 1.0)
+            c2 = preset_config(p, "type-II", gamma=0.1)
+            assert (c2.lam, c2.sigma, c2.tau) == (0.125, 0.35355339059327373, 0.35355339059327373)
 
 
 class TestStoppingAndTrace:
