@@ -101,8 +101,8 @@ _SIGNAL_BLOCKS = ((1, 20, 2.0), (41, 41, 3.0), (71, 85, 1.0), (121, 125, 2.0))
 
 def _gaussian_noise(rng, noise_var, size):
     # centered, of variance noise_var: one standard-normal draw of ``size``
-    if not noise_var >= 0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if not 0 <= noise_var < np.inf:
+        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
     return np.sqrt(noise_var) * rng.standard_normal(size)
 
 
@@ -336,6 +336,9 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
     """
     # built first: the forward map rejects a factor that does not tile the image
     forward = make_blur_downsample(rows, cols, blur_sigma, factor)
+    if not min(rows, cols) > 3 * factor:  # each profile's edge lies in [2 factor, n - factor)
+        raise ValueError(f"rows and cols must exceed 3 * factor = {3 * factor}, "
+                         f"got rows = {rows}, cols = {cols}")
     rng = np.random.default_rng(seed)
     x_img = _block_low_rank_image(rows, cols, factor, rng)
     t = forward.apply(x_img.ravel())

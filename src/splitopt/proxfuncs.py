@@ -34,14 +34,14 @@ def _soft_threshold(v, t):
 
 
 def _positive(value, what):
-    if not value > 0:  # written so that NaN fails too
-        raise ValueError(f"{what} must be positive, got {value}")
+    if not 0 < value < np.inf:  # written so that NaN fails too
+        raise ValueError(f"{what} must be positive and finite, got {value}")
     return float(value)
 
 
 def _weight(value):
-    if not value >= 0:
-        raise ValueError(f"weight must be nonnegative, got {value}")
+    if not 0 <= value < np.inf:
+        raise ValueError(f"weight must be nonnegative and finite, got {value}")
     return float(value)
 
 

@@ -74,12 +74,19 @@ class DivergenceError(RuntimeError):
 PRESETS = ("type-I", "type-II", "custom")
 
 
+def _check_positive(name, value):
+    # negated, so that NaN fails too; an infinite step or tolerance cannot be iterated with
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 def check_loop_control(name, value):
     """Raise ConfigError unless the loop control ``name`` has a valid ``value``:
-    ``eps`` must be positive, ``inner_iters`` and ``max_outer`` at least 1."""
-    # negated, so that NaN fails too
-    if not (value > 0 if name == "eps" else value >= 1):
-        raise ConfigError(f"{name} must be {'positive' if name == 'eps' else '>= 1'}, got {value}")
+    ``eps`` must be positive and finite, ``inner_iters`` and ``max_outer`` at least 1."""
+    if name == "eps":
+        _check_positive(name, value)
+    elif not value >= 1:  # negated, so that NaN fails too
+        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -103,15 +110,12 @@ class SolverConfig:
     param_preset: str | None = None
 
     def __post_init__(self):
-        # positivity is tested as ``not x > 0`` so that NaN is rejected too
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        _check_positive("gamma", self.gamma)
         for name in ("inner_iters", "eps", "max_outer"):
             check_loop_control(name, getattr(self, name))
         for name in ("lam", "sigma", "tau"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 def preset_config(problem, preset, **overrides):
@@ -166,9 +170,13 @@ class SolveTrace:
     records: list
     final_x: np.ndarray
     converged: bool
-    total_outer: int
     final_state: dict = field(default_factory=dict)
     iterates: list | None = None
+
+    @property
+    def total_outer(self):
+        """Outer iterations run: one record each."""
+        return len(self.records)
 
     @property
     def final_record(self):
@@ -232,7 +240,6 @@ def _run(problem, config, solver, step, start):
     x_prev = None
     obj_ref = None
     converged = False
-    k = 0
     gt = problem.ground_truth
     for k in range(1, config.max_outer + 1):
         state, x, inner = step(state)
@@ -266,7 +273,6 @@ def _run(problem, config, solver, step, start):
         records=records,
         final_x=x_prev,
         converged=converged,
-        total_outer=k,
         final_state=dict(zip((key for key, _ in start), state)),
         iterates=iterates,
     )
@@ -423,43 +429,29 @@ def solve_pdfp(problem, config, x0=None, y0=None):
     return _run(problem, config, "pdfp", step, (("x", x0), ("y", y0)))
 
 
-def solve_condat_vu(problem, config, form="standard", x0=None, y0=None):
-    """Single-loop primal-dual splitting.
+def solve_condat_vu(problem, config, x0=None, y0=None):
+    """Single-loop primal-dual splitting with sigma = config.sigma and
+    tau = config.tau, which must satisfy 1/tau - sigma ||B||^2 > L/2.
 
-    x <- prox_{tau' g}(x - tau' B^T y - tau' grad f(x))
-    y <- prox_{sigma' h*}(y + sigma' B (2 x' - x))
-
-    ``form="standard"`` reads sigma' = config.sigma and tau' = config.tau and
-    requires 1/tau' - sigma' ||B||^2 > L/2.  ``form="tau1"`` derives
-    tau' = gamma/2 and sigma' = sigma/gamma and requires gamma in (0, 2/L)
-    and sigma ||B||^2 < 1.
+    x <- prox_{tau g}(x - tau B^T y - tau grad f(x))
+    y <- prox_{sigma h*}(y + sigma B (2 x' - x))
     """
+    if config.sigma is None or config.tau is None:
+        raise ConfigError("condat-vu needs sigma and tau")
     f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    sigma, tau = config.sigma, config.tau
     nb2 = problem.exact_b_norm() ** 2
-    lip = problem.f.lipschitz
-    if form == "standard":
-        if config.sigma is None or config.tau is None:
-            raise ConfigError("standard form needs sigma and tau")
-        sigma_p, tau_p = config.sigma, config.tau
-        if not 1.0 / tau_p - sigma_p * nb2 > lip / 2.0:
-            raise ConfigError(
-                f"1/tau - sigma ||B||^2 = {1.0 / tau_p - sigma_p * nb2:.6g} "
-                f"must exceed L/2 = {lip / 2.0:.6g}"
-            )
-    elif form == "tau1":
-        if config.sigma is None:
-            raise ConfigError("tau1 form needs sigma")
-        _check_gamma(problem, config.gamma)
-        if config.sigma * nb2 >= 1.0:
-            raise ConfigError(f"sigma ||B||^2 = {config.sigma * nb2:.6g} must be < 1")
-        sigma_p, tau_p = config.sigma / config.gamma, config.gamma / 2.0
-    else:
-        raise ConfigError(f"unknown form {form!r} (expected 'standard' or 'tau1')")
+    lip = f.lipschitz
+    if not 1.0 / tau - sigma * nb2 > lip / 2.0:
+        raise ConfigError(
+            f"1/tau - sigma ||B||^2 = {1.0 / tau - sigma * nb2:.6g} "
+            f"must exceed L/2 = {lip / 2.0:.6g}"
+        )
 
     def step(state):
         x, y = state
-        x_new = g.prox(tau_p, x - tau_p * B.adjoint_apply(y) - tau_p * f.gradient(x))
-        y = h.prox_conjugate(sigma_p, y + sigma_p * B.apply(2.0 * x_new - x))
+        x_new = g.prox(tau, x - tau * B.adjoint_apply(y) - tau * f.gradient(x))
+        y = h.prox_conjugate(sigma, y + sigma * B.apply(2.0 * x_new - x))
         return (x_new, y), x_new, 1
 
     return _run(problem, config, "condat-vu", step, (("x", x0), ("y", y0)))

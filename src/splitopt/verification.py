@@ -215,43 +215,41 @@ def operator_suite(seed=0):
     return results
 
 
-def _max_traj_gap(tr_a, tr_b, skip_a=0, skip_b=0):
-    xa = tr_a.iterates[skip_a:]
-    xb = tr_b.iterates[skip_b:]
-    n = min(len(xa), len(xb))
-    return max(float(np.abs(a - b).max()) for a, b in zip(xa[:n], xb[:n]))
+def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
+    """One suite row: both trajectories ran their ``iters`` iterations, and
+    a's iterates match b's read ``skip_b`` steps later pointwise to 1e-12."""
+    ran = min(len(tr_a.iterates), len(tr_b.iterates))
+    if ran < iters:
+        return name, False, f"stopped after {ran} of {iters} iterations"
+    gap = max(float(np.abs(a - b).max()) for a, b in zip(tr_a.iterates, tr_b.iterates[skip_b:]))
+    return name, gap < 1e-12, f"max gap {gap:.2e}"
 
 
 def equivalence_suite(seed=0, iters=200):
-    """The reduction identities, checked pointwise to 1e-12 on a small instance."""
+    """The reduction identities: at one warm-started inner step the nested
+    schemes are PDFP, Condat-Vu and PD3O, checked pointwise to 1e-12 over
+    ``iters`` iterations of a small instance."""
     p = build_fused_lasso(m=30, n=60, seed=seed)
     gamma = 1.9 / p.f.lipschitz
     sigma, tau, lam = 0.25, 1.0, 0.25
 
     def cfg(**kw):
-        base = dict(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True)
-        base.update(kw)
-        return SolverConfig(**base)
+        return SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True, **kw)
 
-    results = []
-
-    gap = _max_traj_gap(solve_fb_dual(p, cfg(lam=lam)), solve_pdfp(p, cfg(lam=lam)))
-    results.append(("fb-dual(J=1,warm) == pdfp", gap < 1e-12, f"max gap {gap:.2e}"))
-
-    gap = _max_traj_gap(solve_tos_dual(p, cfg(lam=lam)), solve_pd3o(p, cfg(lam=lam)))
-    results.append(("tos-dual(J=1) == pd3o", gap < 1e-12, f"max gap {gap:.2e}"))
-
-    gap = _max_traj_gap(
-        solve_tos_primal_dual(p, cfg(sigma=sigma, tau=tau)),
-        solve_tos_pd_single(p, cfg(sigma=sigma, tau=tau)),
-    )
-    results.append(("tos-pd(J=1) == tos-pd-single", gap < 1e-12, f"max gap {gap:.2e}"))
-
-    gap = _max_traj_gap(
-        solve_fb_primal_dual(p, cfg(sigma=sigma, tau=tau)),
-        solve_condat_vu(p, cfg(sigma=sigma / gamma, tau=tau * gamma / (1 + tau))),
-    )
-    results.append(("fb-pd(J=1) == condat-vu(reparameterized)", gap < 1e-12, f"max gap {gap:.2e}"))
+    results = [
+        _identity_row("fb-dual(J=1,warm) == pdfp", solve_fb_dual(p, cfg(lam=lam)),
+                      solve_pdfp(p, cfg(lam=lam)), iters),
+        _identity_row("tos-dual(J=1) == pd3o", solve_tos_dual(p, cfg(lam=lam)),
+                      solve_pd3o(p, cfg(lam=lam)), iters),
+        _identity_row("tos-pd(J=1) == tos-pd-single",
+                      solve_tos_primal_dual(p, cfg(sigma=sigma, tau=tau)),
+                      solve_tos_pd_single(p, cfg(sigma=sigma, tau=tau)), iters),
+        # Condat-Vu's steps are sigma' = sigma/gamma, tau' = tau gamma/(1+tau)
+        _identity_row("fb-pd(J=1) == condat-vu(reparameterized)",
+                      solve_fb_primal_dual(p, cfg(sigma=sigma, tau=tau)),
+                      solve_condat_vu(p, cfg(sigma=sigma / gamma, tau=tau * gamma / (1 + tau))),
+                      iters),
+    ]
 
     rng = np.random.default_rng(seed + 1)
     a = rng.standard_normal((30, 40))
@@ -259,10 +257,10 @@ def equivalence_suite(seed=0, iters=200):
         f=LeastSquares(DenseMatrix(a), rng.standard_normal(30)),
         g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(40),
     )
-    g_id = 1.9 / p_id.f.lipschitz
-    c_id = SolverConfig(gamma=g_id, lam=1.0, eps=1e-16, max_outer=iters, record_iterates=True)
-    gap = _max_traj_gap(solve_pd3o(p_id, c_id), solve_davis_yin(p_id, c_id))
-    results.append(("pd3o(lam=1,B=I) == davis-yin", gap < 1e-12, f"max gap {gap:.2e}"))
+    c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters,
+                        record_iterates=True)
+    results.append(_identity_row("pd3o(lam=1,B=I) == davis-yin", solve_pd3o(p_id, c_id),
+                                 solve_davis_yin(p_id, c_id), iters))
 
     # pdfp == pd3o holds pointwise in the g = 0 regime; start at a stationary
     # point of f so the matched shadow start z0 = x0 - gamma grad f(x0) - gamma B^T y0
@@ -273,11 +271,9 @@ def equivalence_suite(seed=0, iters=200):
     y0 = np.zeros(p0.B.out_dim)
     z0 = x0 - g0 * p0.f.gradient(x0) - g0 * p0.B.adjoint_apply(y0)
     c0 = SolverConfig(gamma=g0, lam=lam, eps=1e-16, max_outer=iters + 1, record_iterates=True)
-    gap = _max_traj_gap(
-        solve_pdfp(p0, c0, x0=x0, y0=y0), solve_pd3o(p0, c0, z0=z0, y0=y0), skip_b=1
-    )
-    results.append(("pdfp == pd3o (x-iterates, matched start)", gap < 1e-12, f"max gap {gap:.2e}"))
-
+    results.append(_identity_row("pdfp == pd3o (x-iterates, matched start)",
+                                 solve_pdfp(p0, c0, x0=x0, y0=y0),
+                                 solve_pd3o(p0, c0, z0=z0, y0=y0), iters + 1, skip_b=1))
     return results
 
 
@@ -289,13 +285,7 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
-    """Run one suite (or 'all'); returns (results, all_passed)."""
-    if name == "all":
-        results = []
-        for fn in SUITES.values():
-            results.extend(fn(seed=seed))
-    elif name in SUITES:
-        results = SUITES[name](seed=seed)
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    """Run one suite of SUITES (or 'all'); returns (results, all_passed)."""
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    results = [row for suite in suites for row in suite(seed=seed)]
     return results, all(ok for _, ok, _ in results)

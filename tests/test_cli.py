@@ -110,6 +110,24 @@ class TestRun:
         for rel in ("summary.csv", "type-II/fused-lasso_fb-dual_J1_eps0.0001.csv"):
             assert read(out_a / rel) == read(out_b / rel)
 
+    def test_omitted_loop_controls_take_solver_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.preset_config
+
+        def spy(problem, preset, **overrides):
+            seen.append(overrides)
+            return real(problem, preset, **overrides)
+
+        monkeypatch.setattr(cli, "preset_config", spy)
+        out = tmp_path / "results"
+        text = TINY_CONFIG.format(out=out).split("[run]")[0] + (
+            f"[run]\nsolvers = fb-dual\npresets = type-II\noutput_dir = {out}\n"
+        )
+        assert cli.main(["run", write_config(tmp_path, text)]) == 0
+        assert (out / "type-II" / "fused-lasso_fb-dual_J1_eps1e-06.csv").exists()
+        assert seen == [{"inner_iters": 1, "eps": 1e-6, "max_outer": 5000,
+                         "warm_start_dual": True}]
+
     def test_maxiter_marker(self, tmp_path):
         out = tmp_path / "results"
         text = TINY_CONFIG.format(out=out).replace("max_outer = 4000", "max_outer = 5")
@@ -308,12 +326,24 @@ class TestExitCodes:
         (TINY_CONFIG, "noise_var = 0.01", "noise_var = nan"),
         (TINY_CONFIG, "max_outer = 4000", "max_outer = 0"),
         (TINY_LRTV, "factor = 2", "factor = 0"),
-    ], ids=["mu2-nan", "noise_var-negative", "noise_var-nan", "max_outer-zero", "factor-zero"])
+        (TINY_CONFIG, "mu2 = 0.8", "mu2 = inf"),
+        (TINY_CONFIG, "noise_var = 0.01", "noise_var = inf"),
+        (TINY_CONFIG, "eps = 1e-4", "eps = inf"),
+    ], ids=["mu2-nan", "noise_var-negative", "noise_var-nan", "max_outer-zero", "factor-zero",
+            "mu2-inf", "noise_var-inf", "eps-inf"])
     def test_bad_number_rejected_before_any_output(self, tmp_path, capsys, template, old, new):
         out = tmp_path / "r"
         text = template.format(out=out).replace(old, new)
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_lrtv_image_too_small_for_its_factor(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        text = TINY_LRTV.format(out=out).replace("rows = 8", "rows = 6")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "rows" in err and "factor" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new", [

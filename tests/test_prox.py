@@ -102,7 +102,7 @@ class TestProxValues:
         f = L1Norm(1.0)
         methods = (f.prox, f.prox_conjugate, f.scaled_conjugate_prox,
                    f.envelope_gradient, f.envelope_value)
-        for step in (0.0, float("nan")):
+        for step in (0.0, float("nan"), float("inf")):
             for method in methods:
                 with pytest.raises(ValueError, match="must be positive"):
                     method(step, np.zeros(3))

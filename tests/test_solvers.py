@@ -150,7 +150,7 @@ class TestDegenerateReductions:
         tau_p = 1.0 / p.f.lipschitz
         c = SolverConfig(gamma=1.0, sigma=1e-12, tau=tau_p, eps=1e-16, max_outer=50,
                          record_iterates=True)
-        tr = solve_condat_vu(p, c, form="standard")
+        tr = solve_condat_vu(p, c)
         x = np.zeros(10)
         for k in range(50):
             x = p.g.prox(tau_p, x - tau_p * p.f.gradient(x))
@@ -267,7 +267,7 @@ class TestConfigValidation:
         p = small_lasso()
         bad = SolverConfig(gamma=1.9 / p.f.lipschitz, sigma=1.0, tau=1.0)
         with pytest.raises(ConfigError):
-            solve_condat_vu(p, bad, form="standard")
+            solve_condat_vu(p, bad)
 
     def test_positivity_checked_at_construction(self):
         with pytest.raises(ConfigError):
@@ -281,6 +281,11 @@ class TestConfigValidation:
     def test_nan_rejected_at_construction(self, name):
         with pytest.raises(ConfigError, match=name):
             SolverConfig(**{"gamma": 1.0, name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["gamma", "eps", "lam", "sigma", "tau"])
+    def test_inf_rejected_at_construction(self, name):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(**{"gamma": 1.0, name: float("inf")})
 
     def test_presets_match_their_step_rules(self):
         p = small_lasso()
@@ -366,26 +371,13 @@ class TestCrossAlgorithmAgreement:
             finals[name] = SOLVERS[name](p, preset_config(p, "type-I", eps=eps)).final_x
         finals["condat-vu"] = solve_condat_vu(
             p, SolverConfig(gamma=gamma, sigma=0.25 / gamma, tau=gamma / 2, eps=eps,
-                            max_outer=20000), form="standard",
+                            max_outer=20000),
         ).final_x
         names = sorted(finals)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
                 rel = np.linalg.norm(finals[a] - finals[b]) / np.linalg.norm(finals[b])
                 assert rel < 1e-5, (a, b, rel)
-
-    def test_condat_vu_tau1_form_matches_standard(self):
-        p = small_lasso()
-        gamma = 1.9 / p.f.lipschitz
-        sigma = 0.25
-        base = dict(gamma=gamma, eps=1e-16, max_outer=150, record_iterates=True)
-        tr_tau1 = solve_condat_vu(p, SolverConfig(sigma=sigma, tau=1.0, **base), form="tau1")
-        tr_std = solve_condat_vu(
-            p, SolverConfig(sigma=sigma / gamma, tau=gamma / 2.0, **base), form="standard"
-        )
-        assert len(tr_tau1.iterates) == 150
-        gap = max(float(np.abs(a - b).max()) for a, b in zip(tr_tau1.iterates, tr_std.iterates))
-        assert gap < 1e-12
 
     def test_pdfp_and_pd3o_agree_in_the_limit_with_nonzero_g(self):
         # with g != 0 the trajectories differ transiently but reach the same point
