@@ -207,7 +207,7 @@ class Gradient2D(LinearMap):
 
 def _gaussian_kernel(sigma):
     # truncated at radius ceil(3 sigma), renormalized to sum 1
-    if sigma <= 0:
+    if sigma == 0:
         return np.array([1.0])
     radius = int(np.ceil(3.0 * sigma))
     t = np.arange(-radius, radius + 1, dtype=float)
@@ -245,6 +245,8 @@ class GaussianBlur(LinearMap):
         self.rows = rows
         self.cols = cols
         self.sigma = float(sigma)
+        if not 0 <= self.sigma < np.inf:  # negated, so that NaN fails too
+            raise ValueError(f"blur_sigma must be nonnegative and finite, got {self.sigma}")
         kernel = _gaussian_kernel(self.sigma)
         self._m_rows = _blur_matrix(rows, kernel)
         self._m_cols = _blur_matrix(cols, kernel)

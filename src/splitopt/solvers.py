@@ -26,6 +26,7 @@ evaluated from the second computed iterate on.  Non-finite iterates or a
 1e12-fold objective blow-up abort with ``DivergenceError``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,11 +83,11 @@ def _check_positive(name, value):
 
 def check_loop_control(name, value):
     """Raise ConfigError unless the loop control ``name`` has a valid ``value``:
-    ``eps`` must be positive and finite, ``inner_iters`` and ``max_outer`` at least 1."""
+    ``eps`` must be positive and finite, ``inner_iters`` and ``max_outer`` integers >= 1."""
     if name == "eps":
         _check_positive(name, value)
-    elif not value >= 1:  # negated, so that NaN fails too
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+    elif not (isinstance(value, numbers.Integral) and value >= 1):  # numpy integers too
+        raise ConfigError(f"{name} must be an integer >= 1, got {value}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Self-check property suites behind the ``verify`` CLI subcommand.
+"""Property suites behind ``splitopt verify``; the tests assert their rows at seed 3.
 
 Each suite returns a list of (name, passed, detail) tuples; the CLI prints
 one PASS/FAIL line per property and exits nonzero if any fail.
@@ -7,7 +7,6 @@ one PASS/FAIL line per property and exits nonzero if any fail.
 import numpy as np
 
 from .operators import (
-    Composite,
     DenseMatrix,
     Difference1D,
     DownsampleAverage,

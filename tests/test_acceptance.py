@@ -7,10 +7,8 @@ lines and timings.
 import time
 
 import numpy as np
-import pytest
+from conftest import suite_rows
 
-from splitopt.metrics import ssim_global
-from splitopt.operators import Difference1D, Gradient2D, estimate_norm
 from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import (
     BoxIndicator,
@@ -29,7 +27,7 @@ from splitopt.solvers import (
     solve_tos_dual,
     solve_tos_primal_dual,
 )
-from splitopt.verification import equivalence_suite
+from splitopt.verification import equivalence_suite, prox_suite
 
 FOUR_ALGORITHMS = {
     "fb-dual": solve_fb_dual,
@@ -42,6 +40,15 @@ FOUR_ALGORITHMS = {
 def report(num, ok, detail):
     print(f"\nACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
+
+
+def read_rows(rows, prefixes, count):
+    """Whether the ``count`` suite rows whose names start with ``prefixes``
+    are all there and pass, and their details."""
+    picked = [(name, *rows[name]) for name in rows if name.startswith(prefixes)]
+    ok = len(picked) == count and all(passed for _, passed, _ in picked)
+    return ok, "; ".join(f"{name} {'PASS' if passed else 'FAIL'} ({detail})"
+                         for name, passed, detail in picked)
 
 
 def prox_library_dim4(rng):
@@ -68,49 +75,23 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_2_moreau_and_scaling_identities():
     t0 = time.monotonic()
-    rng = np.random.default_rng(11)
-    funcs = prox_library_dim4(rng)
-    worst = 0.0
-    for f in funcs:
-        for _ in range(100):
-            lam = float(rng.uniform(0.05, 5.0))
-            u = 3.0 * rng.standard_normal(4)
-            worst = max(worst, float(np.abs(f.prox(lam, u) + f.scaled_conjugate_prox(lam, u) - u).max()))
-            v = 3.0 * rng.standard_normal(4)
-            worst = max(worst, float(np.abs(f.scaled_conjugate_prox(lam, v) - (v - f.prox(lam, v))).max()))
+    rows = suite_rows(prox_suite)
     elapsed = time.monotonic() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
-    report(2, ok, f"Moreau and scaling identities, all kinds, 100 pairs each: "
-                  f"max residual {worst:.2e}, {elapsed:.1f}s")
+    ok, detail = read_rows(rows, ("moreau-identity[", "conjugate-scaling["), 14)
+    report(2, ok and elapsed < 5.0, f"Moreau and scaling identities, all kinds, 100 pairs "
+                                    f"each, to 1e-10: {detail}; {elapsed:.1f}s")
 
 
-def test_criterion_3_envelope_gradient_finite_differences():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for f in (L1Norm(0.7), NonnegativeIndicator(), NuclearNorm(0.8, (2, 2))):
-        for _ in range(10):
-            lam = float(rng.uniform(0.2, 2.0))
-            x = 2.0 * rng.standard_normal(4)
-            grad = f.envelope_gradient(lam, x)
-            num = np.empty(4)
-            h = 1e-6
-            for i in range(4):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                num[i] = (f.envelope_value(lam, xp) - f.envelope_value(lam, xm)) / (2 * h)
-            worst = max(worst, float(np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)))
-    report(3, worst < 1e-5, f"envelope gradient vs central differences "
-                            f"(l1, nonneg, nuclear): max rel err {worst:.2e}")
+def test_criterion_3_envelope_gradient_finite_differences(prox_rows):
+    ok, detail = read_rows(prox_rows, ("envelope-gradient[",), 7)
+    report(3, ok, f"envelope gradient vs central differences, all kinds, to 1e-5: {detail}")
 
 
-def test_criterion_4_spectral_facts():
-    est_d = estimate_norm(Difference1D(200)) ** 2
-    closed = 2.0 - 2.0 * np.cos(199 * np.pi / 200)
-    est_g = estimate_norm(Gradient2D(64, 64)) ** 2
-    ok = abs(est_d - closed) < 1e-4 and 7.9 <= est_g <= 8.0
-    report(4, ok, f"difference-1d(200) lambda_max {est_d:.6f} (closed form {closed:.6f}); "
-                  f"gradient-2d(64) {est_g:.6f} in [7.9, 8.0]")
+def test_criterion_4_spectral_facts(operator_rows):
+    ok, detail = read_rows(
+        operator_rows, ("difference-1d-spectral-constant", "gradient-2d-spectral-constant"), 2)
+    report(4, ok, f"difference-1d(200) lambda_max within 1e-4 of its closed form, "
+                  f"gradient-2d(64) in [7.9, 8.0]: {detail}")
 
 
 def test_criterion_5_fused_lasso_desk_reproduction():
@@ -245,23 +226,17 @@ def brute_force_prox(f, step, v):
     raise AssertionError(f.kind)
 
 
-def test_criterion_9_prox_oracle_equivalence():
+def test_criterion_9_prox_oracle_equivalence(prox_rows):
+    rows_ok, detail = read_rows(prox_rows, ("prox-optimality[",), 7)
     rng = np.random.default_rng(13)
     worst_gap = 0.0
     for f in prox_library_dim4(rng):
         step = float(rng.uniform(0.3, 1.5))
         v = 2.0 * rng.standard_normal(4)
-        p = f.prox(step, v)
-        obj_p = 0.5 * np.sum((p - v) ** 2) + step * f.value(p)
-        for _ in range(1000):
-            cand = p + rng.standard_normal(4) * rng.uniform(1e-4, 2.0)
-            obj_c = 0.5 * np.sum((cand - v) ** 2) + step * f.value(cand)
-            if obj_p > obj_c + 1e-12:
-                report(9, False, f"{f.kind}: random candidate beat the prox output")
-        oracle = brute_force_prox(f, step, v)
-        worst_gap = max(worst_gap, float(np.abs(p - oracle).max()))
-    report(9, worst_gap < 1e-6, f"all prox kinds beat 1000 random candidates and match "
-                                f"fine-grid/SVD brute-force oracles: max gap {worst_gap:.2e}")
+        worst_gap = max(worst_gap, float(np.abs(f.prox(step, v) - brute_force_prox(f, step, v)).max()))
+    report(9, rows_ok and worst_gap < 1e-6, f"all prox kinds beat 1000 random candidates "
+                                            f"({detail}) and match fine-grid/SVD brute-force "
+                                            f"oracles: max gap {worst_gap:.2e}")
 
 
 def test_criterion_10_determinism(tmp_path):

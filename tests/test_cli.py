@@ -329,8 +329,12 @@ class TestExitCodes:
         (TINY_CONFIG, "mu2 = 0.8", "mu2 = inf"),
         (TINY_CONFIG, "noise_var = 0.01", "noise_var = inf"),
         (TINY_CONFIG, "eps = 1e-4", "eps = inf"),
+        (TINY_LRTV, "factor = 2", "factor = 2\nblur_sigma = inf"),
+        (TINY_LRTV, "factor = 2", "factor = 2\nblur_sigma = nan"),
+        (TINY_LRTV, "factor = 2", "factor = 2\nblur_sigma = -1.0"),
     ], ids=["mu2-nan", "noise_var-negative", "noise_var-nan", "max_outer-zero", "factor-zero",
-            "mu2-inf", "noise_var-inf", "eps-inf"])
+            "mu2-inf", "noise_var-inf", "eps-inf", "blur_sigma-inf", "blur_sigma-nan",
+            "blur_sigma-negative"])
     def test_bad_number_rejected_before_any_output(self, tmp_path, capsys, template, old, new):
         out = tmp_path / "r"
         text = template.format(out=out).replace(old, new)

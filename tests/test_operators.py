@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from conftest import assert_row, suite_rows
 
 from splitopt.operators import (
     Composite,
     DenseMatrix,
     Difference1D,
-    DownsampleAverage,
     GaussianBlur,
     Gradient2D,
     Identity,
@@ -13,6 +13,10 @@ from splitopt.operators import (
     estimate_norm,
     make_blur_downsample,
 )
+from splitopt.verification import _operator_library, operator_suite
+
+# the kinds of operator_suite's library, in order; parametrized tests index them
+KINDS = [op.kind for op in _operator_library(np.random.default_rng())]
 
 
 def explicit_difference_matrix(n):
@@ -22,19 +26,6 @@ def explicit_difference_matrix(n):
         d[i, i] = -1.0
         d[i, i + 1] = 1.0
     return d
-
-
-def all_operators(rng):
-    return [
-        Identity(12),
-        DenseMatrix(rng.standard_normal((5, 7))),
-        Difference1D(15),
-        Gradient2D(6, 5),
-        GaussianBlur(8, 8, 1.0),
-        DownsampleAverage(8, 8, 2),
-        make_blur_downsample(8, 8, 1.0, 2),
-        Scaled(-1.7, Difference1D(9)),
-    ]
 
 
 class TestApply:
@@ -77,27 +68,20 @@ class TestAdjoint:
         assert abs(op.apply(x) @ y - x @ op.adjoint_apply(y)) < 1e-12
 
     @pytest.mark.parametrize("idx", range(8))
-    def test_adjoint_identity_100_probes(self, idx):
-        rng = np.random.default_rng(7)
-        op = all_operators(rng)[idx]
-        for _ in range(100):
-            x = rng.standard_normal(op.in_dim)
-            y = rng.standard_normal(op.out_dim)
-            bx, bty = op.apply(x), op.adjoint_apply(y)
-            scale = max(np.linalg.norm(bx) * np.linalg.norm(y),
-                        np.linalg.norm(x) * np.linalg.norm(bty), 1e-30)
-            assert abs(bx @ y - x @ bty) <= 1e-10 * scale
+    def test_adjoint_identity_100_probes(self, operator_rows, idx):
+        assert_row(operator_rows, f"adjoint-identity[{KINDS[idx]}]")
 
     @pytest.mark.parametrize("idx", range(8))
-    def test_linearity(self, idx):
-        rng = np.random.default_rng(11)
-        op = all_operators(rng)[idx]
-        for _ in range(20):
-            x, y = rng.standard_normal(op.in_dim), rng.standard_normal(op.in_dim)
-            a, b = rng.standard_normal(2)
-            lhs = op.apply(a * x + b * y)
-            rhs = a * op.apply(x) + b * op.apply(y)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
+    def test_linearity(self, operator_rows, idx):
+        assert_row(operator_rows, f"linearity[{KINDS[idx]}]")
+
+    def test_rows_fail_for_a_broken_adjoint(self, monkeypatch):
+        # operator_suite is the only check of these properties, so show it can fail
+        monkeypatch.setattr(Difference1D, "_adjoint", lambda self, y: np.zeros(self.in_dim))
+        rows = suite_rows(operator_suite)
+        for prop in ("adjoint-identity", "norm-bound"):
+            assert not rows[f"{prop}[difference-1d]"][0]
+            assert_row(rows, f"{prop}[gradient-2d]")
 
 
 class TestDifference1D:
@@ -105,10 +89,8 @@ class TestDifference1D:
         a, b = 2.5, -1.0
         np.testing.assert_allclose(Difference1D(2).apply([a, b]), [b - a])
 
-    def test_n200_largest_eigenvalue(self):
-        # closed form for the spectrum of D D^T
-        est = estimate_norm(Difference1D(200)) ** 2
-        assert abs(est - (2 - 2 * np.cos(199 * np.pi / 200))) < 1e-4
+    def test_n200_largest_eigenvalue(self, operator_rows):
+        assert_row(operator_rows, "difference-1d-spectral-constant")
 
     def test_n5_full_spectrum_dense_oracle(self):
         d = Difference1D(5).to_dense()
@@ -118,11 +100,9 @@ class TestDifference1D:
         np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 32])
-    def test_spectrum_closed_form_upto_32(self, n):
-        d = Difference1D(n).to_dense()
-        eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
-        expected = np.sort(2 - 2 * np.cos(np.arange(1, n) * np.pi / n))
-        np.testing.assert_allclose(eigs, expected, atol=1e-9)
+    def test_spectrum_closed_form_upto_32(self, operator_rows, n):
+        # the row covers n = 2, 3, 5, 8, 17, 32
+        assert_row(operator_rows, "difference-spectrum-closed-form")
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -136,9 +116,8 @@ class TestGradient2D:
         np.testing.assert_allclose(out[:4], [b - a, 0.0, d - c, 0.0])
         np.testing.assert_allclose(out[4:], [c - a, d - b, 0.0, 0.0])
 
-    def test_64_spectral_constant(self):
-        est = estimate_norm(Gradient2D(64, 64)) ** 2
-        assert 7.9 <= est <= 8.0
+    def test_64_spectral_constant(self, operator_rows):
+        assert_row(operator_rows, "gradient-2d-spectral-constant")
 
     def test_closed_form_small(self):
         # lambda_max(D D^T) = 2 (2 + 2 cos(pi/n)) for an n x n grid
@@ -175,12 +154,8 @@ class TestBlurDownsample:
             y = rng.standard_normal(op.out_dim)
             assert abs(op.apply(x) @ y - x @ op.adjoint_apply(y)) < 1e-10
 
-    def test_composite_adjoint_equals_reversed_chain(self):
-        rng = np.random.default_rng(4)
-        comp = make_blur_downsample(8, 8, 1.0, 2)
-        blur, down = comp.parts
-        y = rng.standard_normal(comp.out_dim)
-        assert np.array_equal(comp.adjoint_apply(y), blur.adjoint_apply(down.adjoint_apply(y)))
+    def test_composite_adjoint_equals_reversed_chain(self, operator_rows):
+        assert_row(operator_rows, "composite-adjoint-chains")
 
     def test_rejects_non_divisible(self):
         with pytest.raises(ValueError):
@@ -194,15 +169,11 @@ class TestEstimateNorm:
     def test_identity(self):
         assert abs(estimate_norm(Identity(10)) - 1.0) < 1e-8
 
-    def test_difference_200(self):
-        est = estimate_norm(Difference1D(200))
-        assert abs(est - np.sqrt(2 - 2 * np.cos(199 * np.pi / 200))) < 1e-4
+    def test_difference_200(self, operator_rows):
+        assert_row(operator_rows, "difference-1d-spectral-constant")
 
-    def test_against_svd(self):
-        rng = np.random.default_rng(12)
-        m = rng.standard_normal((20, 30))
-        true = np.linalg.svd(m, compute_uv=False)[0]
-        assert abs(estimate_norm(DenseMatrix(m)) - true) / true < 1e-6
+    def test_against_svd(self, operator_rows):
+        assert_row(operator_rows, "power-iteration-vs-svd")
 
     def test_zero_operator(self):
         assert estimate_norm(DenseMatrix(np.zeros((4, 5)))) == 0.0
@@ -212,13 +183,8 @@ class TestEstimateNorm:
         assert estimate_norm(op, seed=5) == estimate_norm(op, seed=5)
 
     @pytest.mark.parametrize("idx", range(8))
-    def test_norm_bound_on_probes(self, idx):
-        rng = np.random.default_rng(21)
-        op = all_operators(rng)[idx]
-        est = estimate_norm(op)
-        for _ in range(100):
-            x = rng.standard_normal(op.in_dim)
-            assert np.linalg.norm(op.apply(x)) <= (1 + 1e-6) * est * np.linalg.norm(x)
+    def test_norm_bound_on_probes(self, operator_rows, idx):
+        assert_row(operator_rows, f"norm-bound[{KINDS[idx]}]")
 
     def test_rejects_bad_tol(self):
         for tol in (0.0, float("nan")):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_row, suite_rows
 
 from splitopt.proxfuncs import (
     BoxIndicator,
@@ -10,20 +11,10 @@ from splitopt.proxfuncs import (
     QuadraticDistance,
     ZeroFunction,
 )
+from splitopt.verification import _PROX_DIM as DIM, _prox_library, prox_suite
 
-DIM = 12
-
-
-def library(rng):
-    return [
-        L1Norm(0.7),
-        GroupL21(0.9),
-        NonnegativeIndicator(),
-        BoxIndicator(-0.5, 1.5),
-        NuclearNorm(0.8, (3, 4)),
-        QuadraticDistance(1.3, rng.standard_normal(DIM)),
-        ZeroFunction(),
-    ]
+# the kinds of prox_suite's library, in order; parametrized tests index them
+KINDS = [f.kind for f in _prox_library(np.random.default_rng())]
 
 
 def grid_prox_1d(step, v, penalty, lo=-6.0, hi=6.0, h=1e-5):
@@ -137,18 +128,13 @@ class TestConjugate:
         out = ZeroFunction().prox_conjugate(0.7, np.array([3.0, -1.0]))
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-14)
 
-    def test_moreau_identity_all_kinds(self):
-        rng = np.random.default_rng(5)
-        for f in library(rng):
-            for _ in range(100):
-                lam = float(rng.uniform(0.05, 5.0))
-                u = 3.0 * rng.standard_normal(DIM)
-                recomposed = f.prox(lam, u) + f.scaled_conjugate_prox(lam, u)
-                np.testing.assert_allclose(recomposed, u, atol=1e-10)
+    def test_moreau_identity_all_kinds(self, prox_rows):
+        for kind in KINDS:
+            assert_row(prox_rows, f"moreau-identity[{kind}]")
 
     def test_scaling_identity_lambda_one(self):
         rng = np.random.default_rng(6)
-        for f in library(rng):
+        for f in _prox_library(rng):
             v = rng.standard_normal(DIM)
             np.testing.assert_allclose(
                 f.scaled_conjugate_prox(1.0, v), f.prox_conjugate(1.0, v), atol=1e-12
@@ -161,14 +147,9 @@ class TestConjugate:
         v = np.array([3.0, -0.5])
         np.testing.assert_allclose(out, v - L1Norm(1.0).prox(2.0, v), atol=1e-12)
 
-    def test_scaling_identity_consistency_random(self):
-        rng = np.random.default_rng(7)
-        for f in library(rng):
-            for _ in range(100):
-                lam = float(rng.uniform(0.05, 5.0))
-                v = 3.0 * rng.standard_normal(DIM)
-                direct = v - f.prox(lam, v)
-                np.testing.assert_allclose(f.scaled_conjugate_prox(lam, v), direct, atol=1e-10)
+    def test_scaling_identity_consistency_random(self, prox_rows):
+        for kind in KINDS:
+            assert_row(prox_rows, f"conjugate-scaling[{kind}]")
 
     def test_closed_form_conjugate_oracles(self):
         # independent conjugate proxes for kinds with known closed forms
@@ -215,26 +196,13 @@ class TestEnvelope:
         assert abs(num - g[0]) < 1e-6
 
     @pytest.mark.parametrize("kind", range(7))
-    def test_matches_central_differences(self, kind):
-        rng = np.random.default_rng(40 + kind)
-        f = library(rng)[kind]
-        for _ in range(5):
-            lam = float(rng.uniform(0.2, 2.0))
-            x = 2.0 * rng.standard_normal(DIM)
-            grad = f.envelope_gradient(lam, x)
-            num = np.empty(DIM)
-            h = 1e-6
-            for i in range(DIM):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                num[i] = (f.envelope_value(lam, xp) - f.envelope_value(lam, xm)) / (2 * h)
-            assert np.linalg.norm(grad - num) <= 1e-5 * max(np.linalg.norm(num), 1e-8)
+    def test_matches_central_differences(self, prox_rows, kind):
+        assert_row(prox_rows, f"envelope-gradient[{KINDS[kind]}]")
 
     @pytest.mark.parametrize("kind", range(7))
     def test_gradient_is_lipschitz(self, kind):
         rng = np.random.default_rng(60 + kind)
-        f = library(rng)[kind]
+        f = _prox_library(rng)[kind]
         for _ in range(100):
             lam = float(rng.uniform(0.2, 2.0))
             x, y = 2.0 * rng.standard_normal(DIM), 2.0 * rng.standard_normal(DIM)
@@ -244,19 +212,13 @@ class TestEnvelope:
 
 class TestProxProperties:
     @pytest.mark.parametrize("kind", range(7))
-    def test_firm_nonexpansiveness(self, kind):
-        rng = np.random.default_rng(80 + kind)
-        f = library(rng)[kind]
-        for _ in range(100):
-            step = float(rng.uniform(0.05, 5.0))
-            x, y = 3.0 * rng.standard_normal(DIM), 3.0 * rng.standard_normal(DIM)
-            px, py = f.prox(step, x), f.prox(step, y)
-            assert np.sum((px - py) ** 2) <= (x - y) @ (px - py) + 1e-12
+    def test_firm_nonexpansiveness(self, prox_rows, kind):
+        assert_row(prox_rows, f"firm-nonexpansive[{KINDS[kind]}]")
 
     @pytest.mark.parametrize("kind", range(7))
     def test_local_optimality_under_perturbation(self, kind):
         rng = np.random.default_rng(100 + kind)
-        f = library(rng)[kind]
+        f = _prox_library(rng)[kind]
         step = 0.8
         v = 2.0 * rng.standard_normal(DIM)
         p = f.prox(step, v)
@@ -268,20 +230,20 @@ class TestProxProperties:
             assert base <= perturbed + 1e-15
 
     @pytest.mark.parametrize("kind", range(7))
-    def test_beats_1000_random_candidates(self, kind):
-        rng = np.random.default_rng(120 + kind)
-        f = library(rng)[kind]
-        step = 1.2
-        v = 2.0 * rng.standard_normal(DIM)
-        p = f.prox(step, v)
-        base = 0.5 * np.sum((p - v) ** 2) + step * f.value(p)
-        for _ in range(1000):
-            cand = p + rng.standard_normal(DIM) * rng.uniform(1e-4, 2.0)
-            assert base <= 0.5 * np.sum((cand - v) ** 2) + step * f.value(cand) + 1e-12
+    def test_beats_1000_random_candidates(self, prox_rows, kind):
+        assert_row(prox_rows, f"prox-optimality[{KINDS[kind]}]")
 
     @pytest.mark.parametrize("kind", range(7))
     def test_small_step_limit_is_identity(self, kind):
         rng = np.random.default_rng(140 + kind)
-        f = library(rng)[kind]
+        f = _prox_library(rng)[kind]
         v = rng.uniform(0.1, 1.0, DIM)  # interior of every constraint set used here
         np.testing.assert_allclose(f.prox(1e-12, v), v, atol=1e-9)
+
+    def test_rows_fail_for_a_broken_prox(self, monkeypatch):
+        # prox_suite is the only check of these properties, so show it can fail
+        monkeypatch.setattr(L1Norm, "_prox", lambda self, step, v: 2 * v)
+        rows = suite_rows(prox_suite)
+        for prop in ("firm-nonexpansive", "prox-optimality", "envelope-gradient"):
+            assert not rows[f"{prop}[l1]"][0]
+            assert_row(rows, f"{prop}[group-l21]")

@@ -287,6 +287,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=name):
             SolverConfig(**{"gamma": 1.0, name: float("inf")})
 
+    @pytest.mark.parametrize("name, value", [
+        ("inner_iters", 2.5), ("max_outer", 3.5), ("max_outer", float("inf")),
+    ], ids=["inner_iters-2.5", "max_outer-3.5", "max_outer-inf"])
+    def test_non_integer_loop_count_rejected_at_construction(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(**{"gamma": 1.0, "lam": 0.25, name: value})
+
     def test_presets_match_their_step_rules(self):
         p = small_lasso()
         c1 = preset_config(p, "type-I")
