@@ -11,12 +11,14 @@ The [experiment] keys are the parameters of the experiment's instance builder
 (with its signature defaults); a key that a section does not know is a
 malformed config, and so is a sweep in which two cells would write the same
 file (a repeated preset, solver id or inner_iters value, or two eps values
-that format alike), and so is a file that is not valid INI.  The environment
-variable SPLITOPT_OUTPUT_DIR overrides the configured output directory.
+that format alike), and so is an empty solvers, presets, inner_iters or eps
+list, and so is a file that is not valid INI.  The environment variable
+SPLITOPT_OUTPUT_DIR overrides the configured output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
-3 verification failure; 4 unwritable output directory; 5 unknown solver id;
-6 invalid preset/solver pairing (missing or inadmissible step sizes).
+3 verification failure; 4 unwritable output directory; 5 unknown solver id
+(decided before the instance is built); 6 invalid preset/solver pairing
+(missing or inadmissible step sizes).
 
 Each sweep cell (solver, inner-iteration count, tolerance) writes one trace
 CSV ``<experiment>_<solver>_J<j>_eps<eps>.csv`` under a per-preset
@@ -94,8 +96,7 @@ tau = 1.0
 """),
 }
 
-_RUN_KEYS = ("solvers", "presets", "inner_iters", "eps", "max_outer", "warm_start_dual",
-             "output_dir")
+_RUN_KEYS = ("solvers", "presets", "inner_iters", "eps", "max_outer", "output_dir")
 #: [custom] key -> SolverConfig field
 _CUSTOM_KEYS = {"gamma": "gamma", "lambda": "lam", "sigma": "sigma", "tau": "tau"}
 #: SolverConfig's field defaults, taken by the loop controls a [run] section omits
@@ -186,13 +187,12 @@ def _parse_config(parser):
         "inner_iters": _loop_list(run, "inner_iters", int),
         "eps": _loop_list(run, "eps", float),
         "max_outer": run.getint("max_outer", fallback=_LOOP_DEFAULTS["max_outer"]),
-        "warm_start_dual": run.getboolean("warm_start_dual",
-                                          fallback=_LOOP_DEFAULTS["warm_start_dual"]),
         "output_dir": run.get("output_dir", "results"),
         "custom": custom,
     }
-    if not cfg["solvers"]:
-        raise CliConfigError("solver list is empty")
+    for key in ("solvers", "presets", "inner_iters", "eps"):
+        if not cfg[key]:
+            raise CliConfigError(f"[run] {key} list is empty")
     for key in ("inner_iters", "eps"):
         for value in cfg[key]:
             check_loop_control(key, value)
@@ -244,16 +244,15 @@ def _trace_csv(trace, with_ssim):
 def cmd_run(args):
     try:
         cfg = _read_config(args.config)
+        for solver_id in cfg["solvers"]:  # before the build, which can be costly
+            if solver_id not in SOLVERS:
+                print(f"unknown solver id {solver_id!r}; known: {', '.join(sorted(SOLVERS))}",
+                      file=sys.stderr)
+                return EXIT_UNKNOWN_SOLVER
         problem = _builder(cfg["experiment"])(**cfg["params"])
     except (CliConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    for solver_id in cfg["solvers"]:
-        if solver_id not in SOLVERS:
-            print(f"unknown solver id {solver_id!r}; known: {', '.join(sorted(SOLVERS))}",
-                  file=sys.stderr)
-            return EXIT_UNKNOWN_SOLVER
 
     out_dir = os.environ.get(ENV_OUTPUT_DIR) or cfg["output_dir"]
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -278,8 +277,7 @@ def cmd_run(args):
                 for eps in cfg["eps"]:
                     try:
                         solver_cfg = preset_config(
-                            problem, preset, inner_iters=inner, eps=eps,
-                            max_outer=cfg["max_outer"], warm_start_dual=cfg["warm_start_dual"],
+                            problem, preset, inner_iters=inner, eps=eps, max_outer=cfg["max_outer"],
                             **(cfg["custom"] if preset == "custom" else {}),
                         )
                         trace = SOLVERS[solver_id](problem, solver_cfg)

@@ -299,24 +299,20 @@ def make_blur_downsample(rows, cols, sigma, factor):
     return Composite([GaussianBlur(rows, cols, sigma), DownsampleAverage(rows, cols, factor)])
 
 
-def estimate_norm(op, tol=1e-8, max_iters=5000, seed=0):
+def estimate_norm(op):
     """Estimate the operator norm ||B|| = sqrt(lambda_max(B^T B)) by power iteration.
 
-    Runs power iteration on B^T B from a seeded random start and stops when
-    the relative change of the Rayleigh quotient drops below ``tol`` or after
-    ``max_iters`` sweeps.  Returns 0.0 for the zero operator.  Deterministic
-    for a fixed seed.
+    Runs power iteration on B^T B from a random start seeded with 0 and stops
+    when the relative change of the Rayleigh quotient drops to 1e-8 or after
+    5000 sweeps.  Returns 0.0 for the zero operator.  Deterministic.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(op.in_dim)
+    q = np.random.default_rng(0).standard_normal(op.in_dim)
     nq = np.linalg.norm(q)
     if nq == 0:
         return 0.0
     q /= nq
     lam = 0.0
-    for it in range(int(max_iters)):
+    for it in range(5000):
         w = op._apply(q)
         lam_new = float(w @ w)  # Rayleigh quotient of B^T B at the unit vector q
         q = op._adjoint(w)
@@ -324,7 +320,7 @@ def estimate_norm(op, tol=1e-8, max_iters=5000, seed=0):
         if nq == 0.0 or lam_new == 0.0:
             return 0.0
         q /= nq
-        if it > 0 and abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
+        if it > 0 and abs(lam_new - lam) <= 1e-8 * max(lam_new, 1e-300):
             lam = lam_new
             break
         lam = lam_new

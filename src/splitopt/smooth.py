@@ -27,12 +27,12 @@ class LeastSquares(SmoothFunction):
     """0.5 ||A x - b||^2 for a linear operator A and target b.
 
     The gradient is A^T (A x - b) and its Lipschitz constant ||A||^2 is
-    estimated by power iteration unless supplied.
+    estimated by power iteration on first use.
     """
 
     kind = "least-squares"
 
-    def __init__(self, op, target, lipschitz=None):
+    def __init__(self, op, target):
         target = np.asarray(target, dtype=float).ravel()
         if target.size != op.out_dim:
             raise ValueError(
@@ -40,7 +40,7 @@ class LeastSquares(SmoothFunction):
             )
         self.op = op
         self.target = target
-        self._lipschitz = float(lipschitz) if lipschitz is not None else None
+        self._lipschitz = None
 
     def value(self, x):
         r = self.op.apply(x) - self.target

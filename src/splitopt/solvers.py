@@ -8,13 +8,12 @@ solver for the prox subproblem it cannot evaluate in closed form:
 * three-operator outer loop with shadow variable z (prox of h o B needed):
   ``solve_tos_dual`` and ``solve_tos_primal_dual``.
 
-Each inner loop runs a fixed number of iterations ``inner_iters`` and, by
-default, warm-starts from its previous terminal value.  With one warm-started
-inner iteration the four nested schemes collapse to known single-loop
-algorithms, which are also provided as standalone implementations:
-``solve_pdfp``, ``solve_condat_vu``, ``solve_pd3o``, ``solve_davis_yin``, and
-``solve_tos_pd_single`` (the single-loop form of the primal-dual
-three-operator scheme).
+Each inner loop runs a fixed number of iterations ``inner_iters`` and always
+warm-starts from its previous terminal value.  With one inner iteration the
+four nested schemes collapse to known single-loop algorithms, which are also
+provided as standalone implementations: ``solve_pdfp``, ``solve_condat_vu``,
+``solve_pd3o``, ``solve_davis_yin``, and ``solve_tos_pd_single`` (the
+single-loop form of the primal-dual three-operator scheme).
 
 Step-size conditions, checked against the problem before iterating:
 gamma in (0, 2/L); for dual inner solvers lam in (0, 2/lambda_max(B B^T));
@@ -67,7 +66,6 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, solver, iteration, reason):
         super().__init__(f"{solver} diverged at outer iteration {iteration}: {reason}")
-        self.solver = solver
         self.iteration = iteration
 
 
@@ -106,7 +104,6 @@ class SolverConfig:
     inner_iters: int = 1
     eps: float = 1e-6
     max_outer: int = 5000
-    warm_start_dual: bool = True
     record_iterates: bool = False
     param_preset: str | None = None
 
@@ -159,7 +156,6 @@ class IterationRecord:
     k: int
     objective: float
     rel_change: float
-    inner_count: int
     snr: float | None = None
     nmsd: float | None = None
     ssim: float | None = None
@@ -167,7 +163,6 @@ class IterationRecord:
 
 @dataclass
 class SolveTrace:
-    solver: str
     records: list
     final_x: np.ndarray
     converged: bool
@@ -243,7 +238,7 @@ def _run(problem, config, solver, step, start):
     converged = False
     gt = problem.ground_truth
     for k in range(1, config.max_outer + 1):
-        state, x, inner = step(state)
+        state, x = step(state)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(solver, k, "non-finite iterate")
         obj = problem.objective(x)
@@ -254,7 +249,7 @@ def _run(problem, config, solver, step, start):
         rel = np.inf
         if x_prev is not None:
             rel = float(np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30))
-        rec = IterationRecord(k=k, objective=obj, rel_change=rel, inner_count=inner)
+        rec = IterationRecord(k=k, objective=obj, rel_change=rel)
         if gt is not None:
             rec.snr = _snr(gt, x)
             rec.nmsd = _nmsd(gt, x)
@@ -270,7 +265,6 @@ def _run(problem, config, solver, step, start):
             break
         x_prev = x
     return SolveTrace(
-        solver=solver,
         records=records,
         final_x=x_prev,
         converged=converged,
@@ -299,12 +293,10 @@ def solve_fb_dual(problem, config, x0=None, y0=None):
     def step(state):
         x, y = state
         u = x - gamma * f.gradient(x)
-        if not config.warm_start_dual:
-            y = np.zeros_like(y)
         for _ in range(J):
             y = h.prox_conjugate(s, y + s * B.apply(g.prox(gamma, u - gamma * B.adjoint_apply(y))))
         x = g.prox(gamma, u - gamma * B.adjoint_apply(y))
-        return (x, y), x, J
+        return (x, y), x
 
     return _run(problem, config, "fb-dual", step, (("x", x0), ("y", y0)))
 
@@ -318,8 +310,7 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
             y  <- gamma prox_{(sigma/gamma) h*}( (y + sigma B (2 xb' - xb)) / gamma )
     Update: x <- xb
 
-    The inner variables xb, y warm-start from their previous terminal values;
-    cold starting resets y = 0 and xb = x at every outer step.
+    The inner variables xb, y warm-start from their previous terminal values.
     """
     _check_primal_dual(problem, config)
     f, g, h, B = problem.f, problem.g, problem.h, problem.B
@@ -329,14 +320,11 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
     def step(state):
         x, xb, y = state
         u = x - gamma * f.gradient(x)
-        if not config.warm_start_dual:
-            y = np.zeros_like(y)
-            xb = x.copy()
         for _ in range(J):
             xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau))
             y = gamma * h.prox_conjugate(sigma / gamma, (y + sigma * B.apply(2.0 * xb_new - xb)) / gamma)
             xb = xb_new
-        return (xb, xb, y), xb, J
+        return (xb, xb, y), xb
 
     return _run(problem, config, "fb-pd", step, (("x", x0), ("xbar", xbar0), ("y", y0)))
 
@@ -362,13 +350,11 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
         z, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
-        if not config.warm_start_dual:
-            y = np.zeros_like(y)
         bu = B.apply(u)
         for _ in range(J):
             y = h.prox_conjugate(s, y - lam * B.apply(B.adjoint_apply(y)) + s * bu)
         z = z + (u - gamma * B.adjoint_apply(y)) - x
-        return (z, y), x, J
+        return (z, y), x
 
     return _run(problem, config, "tos-dual", step, (("z", z0), ("y", y0)))
 
@@ -390,15 +376,12 @@ def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
         z, v, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
-        if not config.warm_start_dual:
-            y = np.zeros_like(y)
-            v = x.copy()
         for _ in range(J):
             v_new = (v - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau)
             y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * v_new - v))
             v = v_new
         z = z + v - x
-        return (z, v, y), x, J
+        return (z, v, y), x
 
     return _run(problem, config, "tos-pd", step, (("z", z0), ("v", v0), ("y", y0)))
 
@@ -425,7 +408,7 @@ def solve_pdfp(problem, config, x0=None, y0=None):
         v = g.prox(gamma, u - gamma * B.adjoint_apply(y))
         y = h.prox_conjugate(s, y + s * B.apply(v))
         x = g.prox(gamma, u - gamma * B.adjoint_apply(y))
-        return (x, y), x, 1
+        return (x, y), x
 
     return _run(problem, config, "pdfp", step, (("x", x0), ("y", y0)))
 
@@ -453,7 +436,7 @@ def solve_condat_vu(problem, config, x0=None, y0=None):
         x, y = state
         x_new = g.prox(tau, x - tau * B.adjoint_apply(y) - tau * f.gradient(x))
         y = h.prox_conjugate(sigma, y + sigma * B.apply(2.0 * x_new - x))
-        return (x_new, y), x_new, 1
+        return (x_new, y), x_new
 
     return _run(problem, config, "condat-vu", step, (("x", x0), ("y", y0)))
 
@@ -478,7 +461,7 @@ def solve_pd3o(problem, config, z0=None, y0=None):
             s, y - lam * B.apply(B.adjoint_apply(y)) + s * B.apply(2.0 * x - z - gamma * grad)
         )
         z = x - gamma * grad - gamma * B.adjoint_apply(y)
-        return (z, y), x, 1
+        return (z, y), x
 
     return _run(problem, config, "pd3o", step, (("z", z0), ("y", y0)))
 
@@ -502,7 +485,7 @@ def solve_davis_yin(problem, config, z0=None, y0=None):
         grad = f.gradient(x)
         y = h.prox_conjugate(1.0 / gamma, (2.0 * x - z - gamma * grad) / gamma)
         z = x - gamma * grad - gamma * y
-        return (z, y), x, 1
+        return (z, y), x
 
     return _run(problem, config, "davis-yin", step, (("z", z0), ("y", y0)))
 
@@ -528,7 +511,7 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
         v_new = (v - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau)
         y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * v_new - v))
         z = z + v_new - x
-        return (z, v_new, y), x, 1
+        return (z, v_new, y), x
 
     return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 

@@ -84,6 +84,19 @@ def read(path):
         return fh.read()
 
 
+def count_builds(monkeypatch, builder):
+    """Replace the CLI's ``builder`` by a spy; return the list its calls go to."""
+    calls = []
+    real = getattr(cli, builder)
+
+    def spy(**params):
+        calls.append(params)
+        return real(**params)
+
+    monkeypatch.setattr(cli, builder, spy)
+    return calls
+
+
 class TestRun:
     def test_tiny_sweep_outputs(self, tmp_path):
         out = tmp_path / "results"
@@ -125,8 +138,7 @@ class TestRun:
         )
         assert cli.main(["run", write_config(tmp_path, text)]) == 0
         assert (out / "type-II" / "fused-lasso_fb-dual_J1_eps1e-06.csv").exists()
-        assert seen == [{"inner_iters": 1, "eps": 1e-6, "max_outer": 5000,
-                         "warm_start_dual": True}]
+        assert seen == [{"inner_iters": 1, "eps": 1e-6, "max_outer": 5000}]
 
     def test_maxiter_marker(self, tmp_path):
         out = tmp_path / "results"
@@ -255,6 +267,27 @@ class TestExitCodes:
     def test_unknown_solver_id(self, tmp_path):
         text = TINY_CONFIG.format(out=tmp_path).replace("fb-dual, tos-pd", "fb-dual, nonsense")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_UNKNOWN_SOLVER
+
+    def test_unknown_solver_id_rejected_before_the_build(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch, "build_ct_problem")
+        out = tmp_path / "r"
+        text = TINY_CT.format(out=out).replace("solvers = tos-dual", "solvers = nope")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_UNKNOWN_SOLVER
+        assert builds == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old", ["solvers = fb-dual, tos-pd", "presets = type-II",
+                                     "inner_iters = 1", "eps = 1e-4"],
+                             ids=["solvers", "presets", "inner_iters", "eps"])
+    def test_empty_list_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, old):
+        builds = count_builds(monkeypatch, "build_fused_lasso")
+        out = tmp_path / "r"
+        key = old.split()[0]
+        text = TINY_CONFIG.format(out=out).replace(old, f"{key} =")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert builds == []
+        assert not out.exists()
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -99,9 +99,8 @@ class TestDifference1D:
         expected = np.sort(2 - 2 * np.cos(np.arange(1, 5) * np.pi / 5))
         np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 17, 32])
-    def test_spectrum_closed_form_upto_32(self, operator_rows, n):
-        # the row covers n = 2, 3, 5, 8, 17, 32
+    def test_spectrum_closed_form_upto_32(self, operator_rows):
+        # the row covers n = 2, 3, 5, 8, 17, 32 and names the worst
         assert_row(operator_rows, "difference-spectrum-closed-form")
 
     def test_rejects_small_n(self):
@@ -169,9 +168,6 @@ class TestEstimateNorm:
     def test_identity(self):
         assert abs(estimate_norm(Identity(10)) - 1.0) < 1e-8
 
-    def test_difference_200(self, operator_rows):
-        assert_row(operator_rows, "difference-1d-spectral-constant")
-
     def test_against_svd(self, operator_rows):
         assert_row(operator_rows, "power-iteration-vs-svd")
 
@@ -180,16 +176,11 @@ class TestEstimateNorm:
 
     def test_deterministic_given_seed(self):
         op = Gradient2D(7, 9)
-        assert estimate_norm(op, seed=5) == estimate_norm(op, seed=5)
+        assert estimate_norm(op) == estimate_norm(op)
 
     @pytest.mark.parametrize("idx", range(8))
     def test_norm_bound_on_probes(self, operator_rows, idx):
         assert_row(operator_rows, f"norm-bound[{KINDS[idx]}]")
-
-    def test_rejects_bad_tol(self):
-        for tol in (0.0, float("nan")):
-            with pytest.raises(ValueError):
-                estimate_norm(Identity(3), tol=tol)
 
 
 class TestComposite:
