@@ -99,9 +99,14 @@ class TestDifference1D:
         expected = np.sort(2 - 2 * np.cos(np.arange(1, 5) * np.pi / 5))
         np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
-    def test_spectrum_closed_form_upto_32(self, operator_rows):
-        # the row covers n = 2, 3, 5, 8, 17, 32 and names the worst
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 32])
+    def test_spectrum_closed_form_upto_32(self, operator_rows, n):
+        # the row covers n = 2, 3, 5, 8, 17, 32 and names only the worst
         assert_row(operator_rows, "difference-spectrum-closed-form")
+        d = Difference1D(n).to_dense()
+        eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
+        expected = np.sort(2 - 2 * np.cos(np.arange(1, n) * np.pi / n))
+        np.testing.assert_allclose(eigs, expected, atol=1e-9)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -167,6 +172,10 @@ class TestBlurDownsample:
 class TestEstimateNorm:
     def test_identity(self):
         assert abs(estimate_norm(Identity(10)) - 1.0) < 1e-8
+
+    def test_difference_200(self):
+        est = estimate_norm(Difference1D(200)) ** 2
+        assert abs(est - (2 - 2 * np.cos(199 * np.pi / 200))) <= 1e-4
 
     def test_against_svd(self, operator_rows):
         assert_row(operator_rows, "power-iteration-vs-svd")
