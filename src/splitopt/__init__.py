@@ -9,17 +9,13 @@ and step-size presets over them.
 
 from .metrics import nmsd, snr, ssim_global
 from .operators import (
-    Composite,
+    BlurDownsample,
     DenseMatrix,
     Difference1D,
-    DownsampleAverage,
-    GaussianBlur,
     Gradient2D,
     Identity,
     LinearMap,
-    Scaled,
     estimate_norm,
-    make_blur_downsample,
 )
 from .problems import (
     SplitProblem,

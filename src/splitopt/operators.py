@@ -7,19 +7,17 @@ construction, and ``apply``/``adjoint_apply`` are pure, so instances can be
 shared freely across threads.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
     "LinearMap",
     "DenseMatrix",
     "Identity",
-    "Scaled",
-    "Composite",
     "Difference1D",
     "Gradient2D",
-    "GaussianBlur",
-    "DownsampleAverage",
-    "make_blur_downsample",
+    "BlurDownsample",
     "estimate_norm",
 ]
 
@@ -98,52 +96,6 @@ class Identity(LinearMap):
 
     def _adjoint(self, y):
         return y.copy()
-
-
-class Scaled(LinearMap):
-    """alpha * B for a scalar alpha and base operator B."""
-
-    kind = "scaled"
-
-    def __init__(self, alpha, base):
-        super().__init__(base.in_dim, base.out_dim)
-        self.alpha = float(alpha)
-        self.base = base
-
-    def _apply(self, x):
-        return self.alpha * self.base._apply(x)
-
-    def _adjoint(self, y):
-        return self.alpha * self.base._adjoint(y)
-
-
-class Composite(LinearMap):
-    """Chain of operators applied first-to-last; adjoint composes in reverse."""
-
-    kind = "composite"
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("composite needs at least one part")
-        for a, b in zip(parts, parts[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(
-                    f"composite chain mismatch: {a.kind} outputs {a.out_dim}, "
-                    f"{b.kind} expects {b.in_dim}"
-                )
-        super().__init__(parts[0].in_dim, parts[-1].out_dim)
-        self.parts = parts
-
-    def _apply(self, x):
-        for p in self.parts:
-            x = p._apply(x)
-        return x
-
-    def _adjoint(self, y):
-        for p in reversed(self.parts):
-            y = p._adjoint(y)
-        return y
 
 
 class Difference1D(LinearMap):
@@ -227,76 +179,52 @@ def _blur_matrix(n, kernel):
     return m
 
 
-class GaussianBlur(LinearMap):
-    """Separable Gaussian blur with symmetric boundary extension.
+class BlurDownsample(LinearMap):
+    """Separable Gaussian blur followed by block averaging over factor x factor
+    blocks: the super-resolution forward map of a rows x cols image.
 
-    The kernel sums to one and the boundary extension is reflective, so
-    constant images are preserved exactly and the operator norm is <= 1.
-    The blur matrices are materialized once per axis; the adjoint is their
-    exact transpose.
+    The blur kernel sums to one and its boundary extension is reflective, so
+    constant images are preserved exactly and the operator norm is <= 1.  The
+    blur matrices are materialized once per axis.  The adjoint is the exact
+    transpose, not an interpolator: it replicates each low-resolution pixel
+    over its block, divides by factor^2 and applies the transposed blur.
+    ``sigma = 0`` means no blur and ``factor = 1`` means no averaging.
     """
 
-    kind = "gaussian-blur"
+    kind = "blur-downsample"
 
-    def __init__(self, rows, cols, sigma):
+    def __init__(self, rows, cols, sigma, factor):
         if rows < 1 or cols < 1:
             raise ValueError("blur needs a non-degenerate image")
-        super().__init__(rows * cols, rows * cols)
-        self.rows = rows
-        self.cols = cols
-        self.sigma = float(sigma)
-        if not 0 <= self.sigma < np.inf:  # negated, so that NaN fails too
-            raise ValueError(f"blur_sigma must be nonnegative and finite, got {self.sigma}")
-        kernel = _gaussian_kernel(self.sigma)
-        self._m_rows = _blur_matrix(rows, kernel)
-        self._m_cols = _blur_matrix(cols, kernel)
-
-    def _apply(self, x):
-        img = x.reshape(self.rows, self.cols)
-        return (self._m_rows @ img @ self._m_cols.T).ravel()
-
-    def _adjoint(self, y):
-        img = y.reshape(self.rows, self.cols)
-        return (self._m_rows.T @ img @ self._m_cols).ravel()
-
-
-class DownsampleAverage(LinearMap):
-    """Block averaging over factor x factor blocks.
-
-    The adjoint replicates each low-resolution pixel over its block and
-    divides by factor^2 (the exact transpose, not an interpolator).
-    """
-
-    kind = "downsample-average"
-
-    def __init__(self, rows, cols, factor):
-        factor = int(factor)
-        if factor < 1:
-            raise ValueError("downsampling factor must be >= 1")
+        sigma = float(sigma)
+        if not 0 <= sigma < np.inf:  # negated, so that NaN fails too
+            raise ValueError(f"blur_sigma must be nonnegative and finite, got {sigma}")
+        if not (isinstance(factor, numbers.Integral) and factor >= 1):  # numpy integers too
+            raise ValueError(f"downsampling factor must be an integer >= 1, got {factor}")
         if rows % factor or cols % factor:
             raise ValueError(
                 f"image {rows}x{cols} is not divisible by the downsampling factor {factor}"
             )
+        factor = int(factor)
         super().__init__(rows * cols, (rows // factor) * (cols // factor))
         self.rows = rows
         self.cols = cols
+        self.sigma = sigma
         self.factor = factor
+        kernel = _gaussian_kernel(sigma)
+        self._m_rows = _blur_matrix(rows, kernel)
+        self._m_cols = _blur_matrix(cols, kernel)
 
     def _apply(self, x):
         f = self.factor
-        img = x.reshape(self.rows // f, f, self.cols // f, f)
-        return img.mean(axis=(1, 3)).ravel()
+        img = self._m_rows @ x.reshape(self.rows, self.cols) @ self._m_cols.T
+        return img.reshape(self.rows // f, f, self.cols // f, f).mean(axis=(1, 3)).ravel()
 
     def _adjoint(self, y):
         f = self.factor
         img = y.reshape(self.rows // f, self.cols // f)
         up = np.repeat(np.repeat(img, f, axis=0), f, axis=1)
-        return (up / (f * f)).ravel()
-
-
-def make_blur_downsample(rows, cols, sigma, factor):
-    """Gaussian blur followed by block averaging (the super-resolution forward map)."""
-    return Composite([GaussianBlur(rows, cols, sigma), DownsampleAverage(rows, cols, factor)])
+        return (self._m_rows.T @ (up / (f * f)) @ self._m_cols).ravel()
 
 
 def estimate_norm(op):

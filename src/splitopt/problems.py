@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DenseMatrix, Difference1D, Gradient2D, estimate_norm, make_blur_downsample
+from .operators import BlurDownsample, DenseMatrix, Difference1D, Gradient2D, estimate_norm
 from .proxfuncs import GroupL21, L1Norm, NonnegativeIndicator, NuclearNorm
 from .smooth import LeastSquares
 
@@ -334,8 +334,8 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
     rank-one terms, the term weight, then the row profile (edge, levels), then
     the column profile.
     """
-    # built first: the forward map rejects a factor that does not tile the image
-    forward = make_blur_downsample(rows, cols, blur_sigma, factor)
+    # built first: the forward map rejects a non-integer factor or one that does not tile the image
+    forward = BlurDownsample(rows, cols, blur_sigma, factor)
     if not min(rows, cols) > 3 * factor:  # each profile's edge lies in [2 factor, n - factor)
         raise ValueError(f"rows and cols must exceed 3 * factor = {3 * factor}, "
                          f"got rows = {rows}, cols = {cols}")

@@ -215,8 +215,8 @@ def _start_state(problem, start):
     """Resolve the start values, given as (state key, argument) pairs in state order.
 
     An omitted first key takes ``problem.x0``, else zeros; an omitted ``y``
-    takes zeros in B's range; any other omitted key (``xbar``, ``v``) takes
-    a copy of the resolved first key.
+    takes zeros in B's range; an omitted ``v`` takes a copy of the resolved
+    first key.
     """
     state = []
     for key, value in start:
@@ -301,7 +301,7 @@ def solve_fb_dual(problem, config, x0=None, y0=None):
     return _run(problem, config, "fb-dual", step, (("x", x0), ("y", y0)))
 
 
-def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
+def solve_fb_primal_dual(problem, config, x0=None, y0=None):
     """Forward-backward outer loop; the prox of g + h o B is approximated by
     primal-dual iterations.
 
@@ -310,7 +310,8 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
             y  <- gamma prox_{(sigma/gamma) h*}( (y + sigma B (2 xb' - xb)) / gamma )
     Update: x <- xb
 
-    The inner variables xb, y warm-start from their previous terminal values.
+    The inner variable xb warm-starts from x, which is its previous terminal
+    value, and y from its own.
     """
     _check_primal_dual(problem, config)
     f, g, h, B = problem.f, problem.g, problem.h, problem.B
@@ -318,15 +319,16 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None, xbar0=None):
     g_step = tau * gamma / (1.0 + tau)
 
     def step(state):
-        x, xb, y = state
+        x, y = state
         u = x - gamma * f.gradient(x)
+        xb = x
         for _ in range(J):
             xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau))
             y = gamma * h.prox_conjugate(sigma / gamma, (y + sigma * B.apply(2.0 * xb_new - xb)) / gamma)
             xb = xb_new
-        return (xb, xb, y), xb
+        return (xb, y), xb
 
-    return _run(problem, config, "fb-pd", step, (("x", x0), ("xbar", xbar0), ("y", y0)))
+    return _run(problem, config, "fb-pd", step, (("x", x0), ("y", y0)))
 
 
 # ---------------------------------------------------------------------------

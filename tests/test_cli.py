@@ -252,10 +252,6 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.ini")]) == cli.EXIT_CONFIG
 
-    def test_empty_solver_list(self, tmp_path):
-        text = TINY_CONFIG.format(out=tmp_path).replace("solvers = fb-dual, tos-pd", "solvers =")
-        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
-
     def test_nonpositive_eps(self, tmp_path):
         text = TINY_CONFIG.format(out=tmp_path).replace("eps = 1e-4", "eps = 0")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG

@@ -3,16 +3,14 @@ import pytest
 from conftest import assert_row, suite_rows
 
 from splitopt.operators import (
-    Composite,
+    BlurDownsample,
     DenseMatrix,
     Difference1D,
-    GaussianBlur,
     Gradient2D,
     Identity,
-    Scaled,
     estimate_norm,
-    make_blur_downsample,
 )
+from splitopt.problems import build_lrtv_problem
 from splitopt.verification import _operator_library, operator_suite
 
 # the kinds of operator_suite's library, in order; parametrized tests index them
@@ -67,11 +65,11 @@ class TestAdjoint:
         y = rng.standard_normal(5)
         assert abs(op.apply(x) @ y - x @ op.adjoint_apply(y)) < 1e-12
 
-    @pytest.mark.parametrize("idx", range(8))
+    @pytest.mark.parametrize("idx", range(len(KINDS)))
     def test_adjoint_identity_100_probes(self, operator_rows, idx):
         assert_row(operator_rows, f"adjoint-identity[{KINDS[idx]}]")
 
-    @pytest.mark.parametrize("idx", range(8))
+    @pytest.mark.parametrize("idx", range(len(KINDS)))
     def test_linearity(self, operator_rows, idx):
         assert_row(operator_rows, f"linearity[{KINDS[idx]}]")
 
@@ -136,13 +134,13 @@ class TestGradient2D:
 
 class TestBlurDownsample:
     def test_preserves_constants(self):
-        op = make_blur_downsample(8, 8, 1.0, 2)
+        op = BlurDownsample(8, 8, 1.0, 2)
         out = op.apply(np.full(64, 2.5))
         np.testing.assert_allclose(out, np.full(16, 2.5), atol=1e-12)
 
     def test_zero_sigma_is_block_means(self):
         x = np.arange(16.0)
-        out = make_blur_downsample(4, 4, 0.0, 2).apply(x)
+        out = BlurDownsample(4, 4, 0.0, 2).apply(x)
         img = x.reshape(4, 4)
         oracle = np.array([
             img[0:2, 0:2].mean(), img[0:2, 2:4].mean(),
@@ -152,21 +150,33 @@ class TestBlurDownsample:
 
     def test_adjoint_random_8x8(self):
         rng = np.random.default_rng(3)
-        op = make_blur_downsample(8, 8, 1.0, 2)
+        op = BlurDownsample(8, 8, 1.0, 2)
         for _ in range(20):
             x = rng.standard_normal(op.in_dim)
             y = rng.standard_normal(op.out_dim)
             assert abs(op.apply(x) @ y - x @ op.adjoint_apply(y)) < 1e-10
 
-    def test_composite_adjoint_equals_reversed_chain(self, operator_rows):
-        assert_row(operator_rows, "composite-adjoint-chains")
-
     def test_rejects_non_divisible(self):
         with pytest.raises(ValueError):
-            make_blur_downsample(6, 8, 1.0, 4)
+            BlurDownsample(6, 8, 1.0, 4)
+
+    def test_rejects_non_integer_factor(self):
+        with pytest.raises(ValueError, match="integer"):
+            BlurDownsample(8, 8, 1.0, 2.5)
+        with pytest.raises(ValueError, match="integer"):
+            build_lrtv_problem(factor=2.5)
+        assert BlurDownsample(8, 8, 1.0, np.int64(2)).out_dim == 16
 
     def test_norm_at_most_one(self):
-        assert estimate_norm(GaussianBlur(8, 8, 1.0)) <= 1.0 + 1e-9
+        # factor 1 is the pure blur
+        assert estimate_norm(BlurDownsample(8, 8, 1.0, 1)) <= 1.0 + 1e-9
+
+    def test_to_dense_roundtrip(self):
+        rng = np.random.default_rng(9)
+        op = BlurDownsample(6, 6, 0.8, 2)
+        dense = op.to_dense()
+        x = rng.standard_normal(op.in_dim)
+        np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
 
 
 class TestEstimateNorm:
@@ -187,24 +197,6 @@ class TestEstimateNorm:
         op = Gradient2D(7, 9)
         assert estimate_norm(op) == estimate_norm(op)
 
-    @pytest.mark.parametrize("idx", range(8))
+    @pytest.mark.parametrize("idx", range(len(KINDS)))
     def test_norm_bound_on_probes(self, operator_rows, idx):
         assert_row(operator_rows, f"norm-bound[{KINDS[idx]}]")
-
-
-class TestComposite:
-    def test_chain_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Composite([Difference1D(5), Difference1D(5)])
-
-    def test_scaled(self):
-        op = Scaled(-2.0, Identity(3))
-        np.testing.assert_array_equal(op.apply([1.0, 2.0, 3.0]), [-2.0, -4.0, -6.0])
-        np.testing.assert_array_equal(op.adjoint_apply([1.0, 0.0, 1.0]), [-2.0, 0.0, -2.0])
-
-    def test_to_dense_roundtrip(self):
-        rng = np.random.default_rng(9)
-        op = make_blur_downsample(6, 6, 0.8, 2)
-        dense = op.to_dense()
-        x = rng.standard_normal(op.in_dim)
-        np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)

@@ -404,7 +404,7 @@ class TestCrossAlgorithmAgreement:
 
 class TestStartState:
     """Omitted start values: the first state key takes ``problem.x0``, else
-    zeros; ``y`` takes zeros in B's range; ``xbar``/``v`` copy the first key."""
+    zeros; ``y`` takes zeros in B's range; ``v`` copies the first key."""
 
     @staticmethod
     def _problem(x0=None):
@@ -424,7 +424,7 @@ class TestStartState:
         kept = start.copy()
 
         def explicit(x):
-            return {k: x if k in (first, "xbar0", "v0") else np.zeros(9) for k in keys}
+            return {k: x if k in (first, "v0") else np.zeros(9) for k in keys}
 
         given = solve(self._problem(), c, **explicit(start))
         runs = [
