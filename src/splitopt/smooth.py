@@ -27,7 +27,12 @@ class LeastSquares(SmoothFunction):
     """0.5 ||A x - b||^2 for a linear operator A and target b.
 
     The gradient is A^T (A x - b) and its Lipschitz constant ||A||^2 is
-    estimated by power iteration on first use.
+    estimated by power iteration on first use.  The residual A x - b of the
+    last point seen is kept, so ``value`` and ``gradient`` at the same point
+    apply A once.  It is one (copy of x, residual) tuple, matched by value
+    and replaced whole, so threads sharing the instance can at worst
+    recompute it, never read another point's residual.  ``op`` and
+    ``target`` must not change after construction.
     """
 
     kind = "least-squares"
@@ -41,13 +46,23 @@ class LeastSquares(SmoothFunction):
         self.op = op
         self.target = target
         self._lipschitz = None
+        self._last = None  # (copy of the last point, its read-only residual)
+
+    def _residual(self, x):
+        last = self._last
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
+        r = self.op.apply(x) - self.target
+        r.flags.writeable = False
+        self._last = (np.array(x, dtype=float), r)
+        return r
 
     def value(self, x):
-        r = self.op.apply(x) - self.target
+        r = self._residual(x)
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
-        return self.op.adjoint_apply(self.op.apply(x) - self.target)
+        return self.op.adjoint_apply(self._residual(x))
 
     @property
     def lipschitz(self):
