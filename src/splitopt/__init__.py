@@ -15,6 +15,7 @@ from .operators import (
     Gradient2D,
     Identity,
     LinearMap,
+    SparseMatrix,
     estimate_norm,
 )
 from .problems import (

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "LinearMap",
     "DenseMatrix",
+    "SparseMatrix",
     "Identity",
     "Difference1D",
     "Gradient2D",
@@ -83,6 +84,64 @@ class DenseMatrix(LinearMap):
 
     def to_dense(self):
         return self.matrix.copy()
+
+
+def _segments(keys, others, values):
+    # the triplets stably sorted by ``keys``, with each non-empty key's first position
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], starts, others[order], values[order]
+
+
+def _segment_sums(size, segments, v):
+    # out[key] = sum of value * v[other] over the key's triplets
+    ids, starts, others, values = segments
+    out = np.zeros(size)
+    if starts.size:
+        out[ids] = np.add.reduceat(values * v[others], starts)
+    return out
+
+
+class SparseMatrix(LinearMap):
+    """An out_dim x in_dim matrix given by (row, col, value) triplets.
+
+    Repeated (row, col) pairs add up.  The triplets are kept twice, stably
+    sorted by row and by column, with the start of each non-empty row and
+    column, so ``apply`` and ``adjoint_apply`` are each one gather-multiply
+    and one segment sum.
+    """
+
+    kind = "sparse-matrix"
+
+    def __init__(self, out_dim, in_dim, rows, cols, values):
+        super().__init__(in_dim, out_dim)
+        values = np.asarray(values, dtype=float).ravel()
+        index = []
+        for name, idx, bound in (("row", rows, self.out_dim), ("col", cols, self.in_dim)):
+            idx = np.asarray(idx).ravel()
+            if idx.size != values.size:
+                raise ValueError(f"{idx.size} {name} indices for {values.size} values")
+            if idx.size and not (np.issubdtype(idx.dtype, np.integer)
+                                 and 0 <= idx.min() and idx.max() < bound):
+                raise ValueError(f"{name} indices must be integers in [0, {bound})")
+            index.append(idx.astype(np.intp))
+        rows, cols = index
+        self._by_row = _segments(rows, cols, values)
+        self._by_col = _segments(cols, rows, values)
+
+    def _apply(self, x):
+        return _segment_sums(self.out_dim, self._by_row, x)
+
+    def _adjoint(self, y):
+        return _segment_sums(self.in_dim, self._by_col, y)
+
+    def to_dense(self):
+        ids, starts, cols, values = self._by_row
+        rows = np.repeat(ids, np.diff(starts, append=values.size))
+        out = np.zeros((self.out_dim, self.in_dim))
+        np.add.at(out, (rows, cols), values)  # repeated pairs add in triplet order
+        return out
 
 
 class Identity(LinearMap):

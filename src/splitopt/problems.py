@@ -10,12 +10,20 @@ Noise arguments are variances; the standard deviation used is sqrt(noise_var).
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BlurDownsample, DenseMatrix, Difference1D, Gradient2D, estimate_norm
+from .operators import (
+    BlurDownsample,
+    DenseMatrix,
+    Difference1D,
+    Gradient2D,
+    SparseMatrix,
+    estimate_norm,
+)
 from .proxfuncs import GroupL21, L1Norm, NonnegativeIndicator, NuclearNorm
 from .smooth import LeastSquares
 
@@ -187,13 +195,23 @@ def shepp_logan(side):
     return np.maximum(img, 0.0)
 
 
-def _trace_ray(out_row, side, bounds, sx, sy, dx, dy):
-    # exact ray-grid intersection lengths (Siddon traversal)
+def _check_size(name, value, minimum):
+    # numpy integers pass; a float, even an integral one, or NaN does not
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+_NO_CROSSING = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _trace_ray(side, bounds, sx, sy, dx, dy):
+    # exact ray-grid intersection lengths (Siddon traversal): the crossed
+    # pixels in traversal order and the length of the ray inside each
     tmin, tmax = -np.inf, np.inf
     for p, d in ((sx, dx), (sy, dy)):
         if abs(d) < 1e-12:
             if p < bounds[0] or p > bounds[-1]:
-                return
+                return _NO_CROSSING
         else:
             t0 = (bounds[0] - p) / d
             t1 = (bounds[-1] - p) / d
@@ -202,7 +220,7 @@ def _trace_ray(out_row, side, bounds, sx, sy, dx, dy):
             tmin = max(tmin, t0)
             tmax = min(tmax, t1)
     if tmax <= tmin:
-        return
+        return _NO_CROSSING
     ts = [np.array([tmin, tmax])]
     for p, d in ((sx, dx), (sy, dy)):
         if abs(d) >= 1e-12:
@@ -215,7 +233,7 @@ def _trace_ray(out_row, side, bounds, sx, sy, dx, dy):
     cx = np.floor(sx + mids * dx + half).astype(int)
     cy = np.floor(sy + mids * dy + half).astype(int)
     ok = (cx >= 0) & (cx < side) & (cy >= 0) & (cy < side) & (lengths > 1e-12)
-    np.add.at(out_row, cy[ok] * side + cx[ok], lengths[ok])
+    return cy[ok] * side + cx[ok], lengths[ok]
 
 
 def fan_beam_rays(side, angles, rays):
@@ -227,9 +245,10 @@ def fan_beam_rays(side, angles, rays):
     a circle of radius 2*side; each view fans ``rays`` unit-direction rays
     evenly over the arc subtending the circle circumscribing the image.
     """
-    side = int(side)
-    if side < 2 or rays < 1 or len(angles) < 1:
-        raise ValueError("degenerate scan geometry")
+    _check_size("side", side, 2)
+    _check_size("rays", rays, 1)
+    if len(angles) < 1:
+        raise ValueError("degenerate scan geometry: no view angles")
     src_radius = 2.0 * side
     fan_half = np.arcsin((side / np.sqrt(2.0)) / src_radius)
     out = np.empty((len(angles) * rays, 4))
@@ -249,14 +268,15 @@ def fan_beam_matrix(side, angles, rays):
 
     One row per ray of ``fan_beam_rays``; entry (ray, pixel) is the length of
     the ray's segment through that pixel, found by walking the grid crossings.
+    Returned as a ``SparseMatrix`` of (ray, pixel, length) triplets: a ray
+    crosses at most 2 * side pixels, so the dense matrix is never built.
     """
     geometry = fan_beam_rays(side, angles, rays)
-    side = int(side)
     bounds = np.arange(side + 1, dtype=float) - side / 2.0
-    a = np.zeros((geometry.shape[0], side * side))
-    for row, (sx, sy, dx, dy) in enumerate(geometry):
-        _trace_ray(a[row], side, bounds, sx, sy, dx, dy)
-    return a
+    pixels, lengths = zip(*(_trace_ray(side, bounds, *ray) for ray in geometry))
+    rows = np.repeat(np.arange(len(pixels)), [p.size for p in pixels])
+    return SparseMatrix(len(pixels), side * side, rows,
+                        np.concatenate(pixels), np.concatenate(lengths))
 
 
 def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
@@ -269,8 +289,8 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
     uniformly on [0, 2 pi), and b = A x_true + e with Gaussian noise of
     variance ``noise_var``.  Draw order: angles first, then e.
     """
-    if img_side < 16:
-        raise ValueError(f"image side must be >= 16, got {img_side}")
+    _check_size("img_side", img_side, 16)
+    _check_size("views", views, 1)
     if tv_kind not in ("iso", "aniso"):
         raise ValueError(f"tv_kind must be 'iso' or 'aniso', got {tv_kind!r}")
     rng = np.random.default_rng(seed)
@@ -278,10 +298,10 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
     angles = rng.uniform(0.0, 2.0 * np.pi, size=views)
     a = fan_beam_matrix(img_side, angles, rays)
     x_true = phantom.ravel()
-    b = a @ x_true + _gaussian_noise(rng, noise_var, a.shape[0])
+    b = a.apply(x_true) + _gaussian_noise(rng, noise_var, a.out_dim)
     h = GroupL21(mu) if tv_kind == "iso" else L1Norm(mu)
     return SplitProblem(
-        f=LeastSquares(DenseMatrix(a), b),
+        f=LeastSquares(a, b),
         g=NonnegativeIndicator(),
         h=h,
         B=Gradient2D(img_side, img_side),

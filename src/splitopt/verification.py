@@ -12,6 +12,7 @@ from .operators import (
     Difference1D,
     Gradient2D,
     Identity,
+    SparseMatrix,
     estimate_norm,
 )
 from .problems import SplitProblem, build_fused_lasso
@@ -134,6 +135,9 @@ def _operator_library(rng):
         Difference1D(15),
         Gradient2D(6, 5),
         BlurDownsample(8, 8, 1.0, 2),
+        # (0, 3) is repeated, row 1 and column 5 are empty
+        SparseMatrix(6, 6, [0, 0, 2, 3, 3, 5, 0, 4], [0, 3, 1, 4, 0, 2, 3, 1],
+                     [1.5, -2.0, 0.5, 3.0, -1.0, 2.5, 0.25, -0.75]),
     ]
 
 

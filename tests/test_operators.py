@@ -8,6 +8,7 @@ from splitopt.operators import (
     Difference1D,
     Gradient2D,
     Identity,
+    SparseMatrix,
     estimate_norm,
 )
 from splitopt.problems import build_lrtv_problem
@@ -177,6 +178,35 @@ class TestBlurDownsample:
         dense = op.to_dense()
         x = rng.standard_normal(op.in_dim)
         np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
+
+
+class TestSparseMatrix:
+    TRIPLETS = ([0, 2, 0, 1], [1, 0, 1, 2], [2.0, -1.0, 0.5, 4.0])  # (0, 1) twice; row 3 and col 3 empty
+
+    def test_matches_entrywise_oracle(self):
+        rows, cols, values = self.TRIPLETS
+        oracle = np.zeros((4, 4))
+        for r, c, v in zip(rows, cols, values):
+            oracle[r, c] += v
+        op = SparseMatrix(4, 4, rows, cols, values)
+        np.testing.assert_array_equal(op.to_dense(), oracle)
+        x = np.array([1.0, -2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(op.apply(x), oracle @ x)
+        np.testing.assert_array_equal(op.adjoint_apply(x), oracle.T @ x)
+
+    def test_no_triplets_is_the_zero_map(self):
+        op = SparseMatrix(3, 2, [], [], [])
+        np.testing.assert_array_equal(op.apply(np.ones(2)), np.zeros(3))
+        np.testing.assert_array_equal(op.adjoint_apply(np.ones(3)), np.zeros(2))
+        np.testing.assert_array_equal(op.to_dense(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        ([0, 4], [0, 1], "row"), ([0, 1], [-1, 1], "col"), ([0.0, 1.0], [0, 1], "row"),
+        ([0], [0, 1], "row"),
+    ], ids=["row-out-of-range", "negative-col", "float-rows", "length-mismatch"])
+    def test_rejects_bad_triplets(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            SparseMatrix(4, 4, rows, cols, [1.0, 2.0])
 
 
 class TestEstimateNorm:

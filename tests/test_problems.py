@@ -101,21 +101,21 @@ class TestPhantom:
 class TestProjector:
     def test_matrix_shape(self):
         a = fan_beam_matrix(16, np.array([0.0, 1.0]), 8)
-        assert a.shape == (16, 256)
+        assert (a.out_dim, a.in_dim) == (16, 256)
 
     def test_zero_image_zero_projection(self):
         a = fan_beam_matrix(16, np.array([0.3]), 8)
-        np.testing.assert_array_equal(a @ np.zeros(256), np.zeros(8))
+        np.testing.assert_array_equal(a.apply(np.zeros(256)), np.zeros(8))
 
     def test_entries_nonnegative(self):
         a = fan_beam_matrix(16, np.linspace(0, 2 * np.pi, 5), 12)
-        assert a.min() >= 0.0
+        assert a.to_dense().min() >= 0.0
 
     def test_single_pixel_chord_lengths_match_clipping_oracle(self):
         side = 16
         angles = np.array([0.1, 1.7, 3.9])
         rays = 24
-        a = fan_beam_matrix(side, angles, rays)
+        a = fan_beam_matrix(side, angles, rays).to_dense()
         geometry = fan_beam_rays(side, angles, rays)
         r, c = 8, 8  # pixel just above/right of center
         col = a[:, r * side + c]
@@ -133,7 +133,7 @@ class TestProjector:
         side = 16
         angles = np.array([0.7])
         rays = 10
-        a = fan_beam_matrix(side, angles, rays)
+        a = fan_beam_matrix(side, angles, rays).to_dense()
         geometry = fan_beam_rays(side, angles, rays)
         half = side / 2.0
         for i in range(rays):
@@ -155,7 +155,7 @@ class TestProjector:
 class TestCtInstance:
     def test_desk_default_shapes(self):
         p = build_ct_problem(seed=0)
-        assert p.f.op.matrix.shape == (20 * 96, 64 * 64)
+        assert (p.f.op.out_dim, p.f.op.in_dim) == (20 * 96, 64 * 64)
         assert p.B.out_dim == 2 * 64 * 64
         assert p.g.kind == "indicator-nonneg"
         assert p.h.kind == "group-l21" and p.h.weight == 0.5
@@ -171,10 +171,22 @@ class TestCtInstance:
         with pytest.raises(ValueError):
             build_ct_problem(img_side=16, tv_kind="both")
 
+    @pytest.mark.parametrize("key, value", [
+        ("img_side", 16.5), ("img_side", float("nan")), ("views", 2.5), ("rays", 2.5),
+    ], ids=["img_side-16.5", "img_side-nan", "views-2.5", "rays-2.5"])
+    def test_rejects_non_integer_sizes(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            build_ct_problem(**{"img_side": 16, "views": 2, "rays": 4, key: value})
+
+    def test_projector_rejects_non_integer_side(self):
+        # a float side used to be truncated: 16.7 built a 256-column matrix
+        with pytest.raises(ValueError, match="side"):
+            fan_beam_matrix(16.7, np.array([0.3]), 8)
+
     def test_deterministic(self):
         a = build_ct_problem(img_side=16, views=3, rays=10, seed=5)
         b = build_ct_problem(img_side=16, views=3, rays=10, seed=5)
-        assert np.array_equal(a.f.op.matrix, b.f.op.matrix)
+        assert np.array_equal(a.f.op.to_dense(), b.f.op.to_dense())
         assert np.array_equal(a.f.target, b.f.target)
 
     @pytest.mark.xfail(
