@@ -34,11 +34,12 @@ class LinearMap:
     kind = "abstract"
 
     def __init__(self, in_dim, out_dim):
-        in_dim, out_dim = int(in_dim), int(out_dim)
-        if in_dim <= 0 or out_dim <= 0:
-            raise ValueError(f"operator dimensions must be positive, got {in_dim}x{out_dim}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
+        if not all(isinstance(d, numbers.Integral) and d > 0 for d in (in_dim, out_dim)):
+            raise ValueError(
+                f"operator dimensions must be positive integers, got {in_dim}x{out_dim}"
+            )
+        self.in_dim = int(in_dim)
+        self.out_dim = int(out_dim)
 
     def _vector(self, v, size, method):
         v = np.asarray(v, dtype=float).ravel()

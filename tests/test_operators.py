@@ -42,6 +42,15 @@ class TestApply:
         assert out.shape == (32,)
         np.testing.assert_array_equal(out, np.zeros(32))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Identity(3.7), lambda: Difference1D(15.5), lambda: Gradient2D(4.5, 4),
+        lambda: SparseMatrix(2.9, 3, [0, 1], [0, 1], [1.0, 1.0]),
+    ], ids=["identity", "difference-1d", "gradient-2d", "sparse-matrix"])
+    def test_non_integer_dimensions_rejected(self, build):
+        # a float dimension is not truncated: Identity(3.7) must not be the 3-dim identity
+        with pytest.raises(ValueError, match="integers"):
+            build()
+
     def test_dimension_mismatch_message(self):
         with pytest.raises(ValueError, match="15"):
             Difference1D(15).apply(np.zeros(14))
@@ -181,7 +190,8 @@ class TestBlurDownsample:
 
 
 class TestSparseMatrix:
-    TRIPLETS = ([0, 2, 0, 1], [1, 0, 1, 2], [2.0, -1.0, 0.5, 4.0])  # (0, 1) twice; row 3 and col 3 empty
+    # (0, 1) appears twice; row 3 and column 3 are empty
+    TRIPLETS = ([0, 2, 0, 1], [1, 0, 1, 2], [2.0, -1.0, 0.5, 4.0])
 
     def test_matches_entrywise_oracle(self):
         rows, cols, values = self.TRIPLETS

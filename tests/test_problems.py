@@ -179,7 +179,7 @@ class TestCtInstance:
             build_ct_problem(**{"img_side": 16, "views": 2, "rays": 4, key: value})
 
     def test_projector_rejects_non_integer_side(self):
-        # a float side used to be truncated: 16.7 built a 256-column matrix
+        # a float side is not truncated: 16.7 must not build a side-16, 256-column matrix
         with pytest.raises(ValueError, match="side"):
             fan_beam_matrix(16.7, np.array([0.3]), 8)
 

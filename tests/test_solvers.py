@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 import threading
 import time
 
@@ -66,7 +67,8 @@ class TestSmoothFunctions:
         assert f.lipschitz >= true / (1 + 1e-4)
 
     def test_shared_residual_is_thread_safe(self):
-        # the op yields the GIL inside every A x, so the two threads interleave
+        # four threads (more than the cores) share one LeastSquares; the op
+        # yields the interpreter lock inside every A x, so the threads interleave
         # there and keep replacing each other's remembered residual
         class YieldingMatrix(DenseMatrix):
             def _apply(self, x):
@@ -79,19 +81,25 @@ class TestSmoothFunctions:
         fresh = LeastSquares(DenseMatrix(m), b)
         expected = [(fresh.value(x), fresh.gradient(x)) for x in points]
         shared = LeastSquares(YieldingMatrix(m), b)
-        seen = {0: [], 1: []}
+        seen = {t: [] for t in range(4)}
 
-        def evaluate(t):  # both threads visit all points, two apart
+        def evaluate(t):  # every thread visits every point, each at its own offset
             for k in range(400):
-                i = (k + 2 * t) % 4
+                i = (k + t) % 4
                 seen[t].append((i, shared.value(points[i]), shared.gradient(points[i])))
 
-        threads = [threading.Thread(target=evaluate, args=(t,)) for t in (0, 1)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        for t in (0, 1):
+        threads = [threading.Thread(target=evaluate, args=(t,)) for t in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in seen:
             assert len(seen[t]) == 400
             for i, value, grad in seen[t]:
                 assert value == expected[i][0]
