@@ -44,8 +44,8 @@ def ssim_global(f_img, g_img, dynamic_range):
     luminance factor uses c1 and the contrast/structure factor uses c2.
     Symmetric in its arguments and equal to 1 exactly when the images match.
     """
-    if dynamic_range <= 0:
-        raise ValueError(f"dynamic range must be positive, got {dynamic_range}")
+    if not 0 < dynamic_range < np.inf:  # negated, so that NaN fails too
+        raise ValueError(f"dynamic range must be positive and finite, got {dynamic_range}")
     f = np.asarray(f_img, dtype=float).ravel()
     g = np.asarray(g_img, dtype=float).ravel()
     if f.size != g.size:

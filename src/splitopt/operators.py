@@ -7,6 +7,8 @@ construction, and ``apply``/``adjoint_apply`` are pure, so instances can be
 shared freely across threads.
 """
 
+import functools
+import math
 import numbers
 
 import numpy as np
@@ -28,7 +30,8 @@ class LinearMap:
 
     Subclasses implement ``_apply`` and ``_adjoint``; the public methods only
     add dimension checking.  The defining adjoint property is
-    <B x, y> = <x, B^T y> for all x, y.
+    <B x, y> = <x, B^T y> for all x, y.  ``norm_sq`` is the operator's one
+    spectral constant ||B||^2 = lambda_max(B^T B).
     """
 
     kind = "abstract"
@@ -58,6 +61,12 @@ class LinearMap:
 
     def _adjoint(self, y):
         raise NotImplementedError
+
+    @functools.cached_property
+    def norm_sq(self):
+        """||B||^2 by power iteration, computed once on first use; operators
+        with a closed form override it."""
+        return estimate_norm(self) ** 2
 
     def to_dense(self):
         """Materialize the operator as an (out_dim x in_dim) array."""
@@ -147,6 +156,7 @@ class SparseMatrix(LinearMap):
 
 class Identity(LinearMap):
     kind = "identity"
+    norm_sq = 1.0
 
     def __init__(self, n):
         super().__init__(n, n)
@@ -158,17 +168,27 @@ class Identity(LinearMap):
         return y.copy()
 
 
+def _path_lambda_max(n):
+    # largest eigenvalue of D^T D, the Laplacian of the path on n nodes
+    return 2.0 - 2.0 * math.cos((n - 1) * math.pi / n)
+
+
 class Difference1D(LinearMap):
     """Forward differences of a length-n signal: (Dx)_i = x_{i+1} - x_i.
 
     D is the (n-1) x n matrix with rows (-1, 1) on adjacent entries.  The
-    eigenvalues of D D^T are 2 - 2 cos(i pi / n), i = 1 .. n-1.
+    eigenvalues of D D^T are 2 - 2 cos(i pi / n), i = 1 .. n-1, so
+    ``norm_sq`` is 2 - 2 cos((n-1) pi / n).
     """
 
     kind = "difference-1d"
 
     def __init__(self, n):
         super().__init__(n, n - 1)
+
+    @property
+    def norm_sq(self):
+        return _path_lambda_max(self.in_dim)
 
     def _apply(self, x):
         return x[1:] - x[:-1]
@@ -185,7 +205,8 @@ class Gradient2D(LinearMap):
 
     Output is (horizontal differences, vertical differences), each padded with
     a zero in the last column/row, so the output length is 2 * rows * cols.
-    The largest eigenvalue of D D^T approaches 8 from below.
+    D^T D is the Kronecker sum of the path Laplacians along the rows and the
+    columns, so ``norm_sq`` is the sum of their largest eigenvalues, below 8.
     """
 
     kind = "gradient-2d"
@@ -196,6 +217,10 @@ class Gradient2D(LinearMap):
         super().__init__(rows * cols, 2 * rows * cols)
         self.rows = rows
         self.cols = cols
+
+    @property
+    def norm_sq(self):
+        return _path_lambda_max(self.rows) + _path_lambda_max(self.cols)
 
     def _apply(self, x):
         img = x.reshape(self.rows, self.cols)

@@ -22,7 +22,6 @@ from .operators import (
     Difference1D,
     Gradient2D,
     SparseMatrix,
-    estimate_norm,
 )
 from .proxfuncs import GroupL21, L1Norm, NonnegativeIndicator, NuclearNorm
 from .smooth import LeastSquares
@@ -43,11 +42,11 @@ __all__ = [
 class SplitProblem:
     """One instance of  min_x f(x) + g(x) + h(Bx)  plus experiment metadata.
 
-    ``b_lam_max`` is the preferred spectral constant lambda_max(B B^T) for
-    choosing step sizes (the conventional rounded value where the experiment
-    defines one) and ``b_norm`` its square root; ``exact_b_norm`` gives the
-    power-iteration estimate used for validating step-size conditions.  SSIM
-    is recorded when both ``image_shape`` and ``dynamic_range`` are set.
+    ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
+    step-size presets use where the experiment defines one; step-size
+    conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
+    square root.  SSIM is recorded when both ``image_shape`` and
+    ``dynamic_range`` are set.
     """
 
     f: object
@@ -62,7 +61,6 @@ class SplitProblem:
     gamma_default: float | None = None
     dynamic_range: float | None = None
     meta: dict = field(default_factory=dict)
-    _b_norm_cache: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         f_op = getattr(self.f, "op", None)
@@ -82,17 +80,11 @@ class SplitProblem:
         return self.B.in_dim
 
     @property
-    def b_norm(self):
-        return None if self.b_lam_max is None else math.sqrt(self.b_lam_max)
-
-    @property
     def record_ssim(self):
         return self.dynamic_range is not None and self.image_shape is not None
 
     def exact_b_norm(self):
-        if self._b_norm_cache is None:
-            self._b_norm_cache = estimate_norm(self.B)
-        return self._b_norm_cache
+        return math.sqrt(self.B.norm_sq)
 
     def objective(self, x):
         """f(x) + g(x) + h(Bx), +inf when an indicator constraint is violated."""

@@ -15,6 +15,8 @@ propagates through objective sums without corrupting finite comparisons.
 All instances are immutable and every method is pure.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -181,10 +183,10 @@ class NuclearNorm(ProxFunction):
 
     def __init__(self, weight, shape):
         self.weight = _weight(weight)
-        rows, cols = int(shape[0]), int(shape[1])
-        if rows < 1 or cols < 1:
-            raise ValueError(f"invalid matrix shape {shape}")
-        self.shape = (rows, cols)
+        rows, cols = shape
+        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (rows, cols)):
+            raise ValueError(f"matrix shape must be two integers >= 1, got {shape}")
+        self.shape = (int(rows), int(cols))
 
     def _as_matrix(self, x):
         rows, cols = self.shape

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .operators import estimate_norm
-
 __all__ = ["SmoothFunction", "LeastSquares", "ZeroSmooth"]
 
 
@@ -26,13 +24,13 @@ class SmoothFunction:
 class LeastSquares(SmoothFunction):
     """0.5 ||A x - b||^2 for a linear operator A and target b.
 
-    The gradient is A^T (A x - b) and its Lipschitz constant ||A||^2 is
-    estimated by power iteration on first use.  The residual A x - b of the
-    last point seen is kept, so ``value`` and ``gradient`` at the same point
-    apply A once.  It is one (copy of x, residual) tuple, matched by value
-    and replaced whole, so threads sharing the instance can at worst
-    recompute it, never read another point's residual.  ``op`` and
-    ``target`` must not change after construction.
+    The gradient is A^T (A x - b) and its Lipschitz constant is A's
+    ``norm_sq``, ||A||^2.  The residual A x - b of the last point seen is
+    kept, so ``value`` and ``gradient`` at the same point apply A once.  It
+    is one (copy of x, residual) tuple, matched by value and replaced whole,
+    so threads sharing the instance can at worst recompute it, never read
+    another point's residual.  ``op`` and ``target`` must not change after
+    construction.
     """
 
     kind = "least-squares"
@@ -45,7 +43,6 @@ class LeastSquares(SmoothFunction):
             )
         self.op = op
         self.target = target
-        self._lipschitz = None
         self._last = None  # (copy of the last point, its read-only residual)
 
     def _residual(self, x):
@@ -66,9 +63,7 @@ class LeastSquares(SmoothFunction):
 
     @property
     def lipschitz(self):
-        if self._lipschitz is None:
-            self._lipschitz = estimate_norm(self.op) ** 2
-        return self._lipschitz
+        return self.op.norm_sq
 
 
 class ZeroSmooth(SmoothFunction):

@@ -25,6 +25,7 @@ evaluated from the second computed iterate on.  Non-finite iterates or a
 1e12-fold objective blow-up abort with ``DivergenceError``.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -124,17 +125,16 @@ def preset_config(problem, preset, **overrides):
     custom:  only the step sizes given in ``overrides``; a solver whose
              steps are missing rejects the config.
 
-    The spectral constants come from the problem's conventional values
-    (``b_lam_max``/``b_norm``) when set, otherwise from power iteration;
-    gamma defaults to the problem's suggested value or 1.9/L.
+    lambda_max(B B^T) is the problem's conventional ``b_lam_max`` when set,
+    otherwise ``B.norm_sq``, and ||B|| is its square root; gamma defaults to
+    the problem's suggested value or 1.9/L.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
     params = {}
     if preset != "custom":
-        lam_max = (problem.b_lam_max if problem.b_lam_max is not None
-                   else problem.exact_b_norm() ** 2)
-        norm_b = problem.b_norm if problem.b_norm is not None else problem.exact_b_norm()
+        lam_max = problem.b_lam_max if problem.b_lam_max is not None else problem.B.norm_sq
+        norm_b = math.sqrt(lam_max)
         if preset == "type-I":
             params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
         else:
@@ -193,10 +193,10 @@ def _check_dual(problem, config):
     _check_gamma(problem, config.gamma)
     if config.lam is None:
         raise ConfigError("dual solver needs lam")
-    lam_max = problem.exact_b_norm() ** 2
+    lam_max = problem.B.norm_sq
     if lam_max > 0 and not config.lam < 2.0 / lam_max:
         raise ConfigError(
-            f"lam={config.lam} outside (0, 2/lambda_max) with lambda_max={lam_max:.6g}"
+            f"lam={config.lam} outside (0, 2/lambda_max) = (0, {2.0 / lam_max})"
         )
 
 
@@ -204,11 +204,9 @@ def _check_primal_dual(problem, config):
     _check_gamma(problem, config.gamma)
     if config.sigma is None or config.tau is None:
         raise ConfigError("primal-dual solver needs sigma and tau")
-    nb2 = problem.exact_b_norm() ** 2
-    if config.sigma * config.tau * nb2 >= 1.0:
-        raise ConfigError(
-            f"sigma*tau*||B||^2 = {config.sigma * config.tau * nb2:.6g} must be < 1"
-        )
+    product = config.sigma * config.tau * problem.B.norm_sq
+    if product >= 1.0:
+        raise ConfigError(f"sigma*tau*||B||^2 = {product} must be < 1")
 
 
 def _start_state(problem, start):
@@ -426,12 +424,10 @@ def solve_condat_vu(problem, config, x0=None, y0=None):
         raise ConfigError("condat-vu needs sigma and tau")
     f, g, h, B = problem.f, problem.g, problem.h, problem.B
     sigma, tau = config.sigma, config.tau
-    nb2 = problem.exact_b_norm() ** 2
-    lip = f.lipschitz
-    if not 1.0 / tau - sigma * nb2 > lip / 2.0:
+    margin = 1.0 / tau - sigma * B.norm_sq
+    if not margin > f.lipschitz / 2.0:
         raise ConfigError(
-            f"1/tau - sigma ||B||^2 = {1.0 / tau - sigma * nb2:.6g} "
-            f"must exceed L/2 = {lip / 2.0:.6g}"
+            f"1/tau - sigma ||B||^2 = {margin} must exceed L/2 = {f.lipschitz / 2.0}"
         )
 
     def step(state):

@@ -179,6 +179,8 @@ def operator_suite(seed=0):
                 break
         results.append((f"norm-bound[{op.kind}]", ok, f"estimate {est:.6g}"))
 
+    # the path spectrum in full, and every closed-form norm_sq against the
+    # dense lambda_max(B^T B), on square and non-square grids
     devs = {}
     for n in (2, 3, 5, 8, 17, 32):
         d = Difference1D(n).to_dense()
@@ -186,8 +188,19 @@ def operator_suite(seed=0):
         expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n))
         devs[n] = float(np.abs(eigs - expected).max())
     n_worst = max(devs, key=devs.get)
-    results.append(("difference-spectrum-closed-form", devs[n_worst] <= 1e-9,
-                    f"max dev {devs[n_worst]:.2e} at n={n_worst}"))
+    cases = {f"difference-1d({n})": Difference1D(n) for n in devs}
+    cases.update({f"gradient-2d({r}x{c})": Gradient2D(r, c)
+                  for r, c in ((2, 2), (2, 3), (3, 2), (5, 8), (7, 7), (12, 9))})
+    rels = {}
+    for label, op in cases.items():
+        d = op.to_dense()
+        true = float(np.linalg.eigvalsh(d.T @ d)[-1])
+        rels[label] = abs(op.norm_sq - true) / true
+    op_worst = max(rels, key=rels.get)
+    results.append(("difference-spectrum-closed-form",
+                    devs[n_worst] <= 1e-9 and rels[op_worst] <= 1e-12,
+                    f"max dev {devs[n_worst]:.2e} at n={n_worst}; "
+                    f"norm_sq max rel err {rels[op_worst]:.2e} at {op_worst}"))
 
     m = rng.standard_normal((20, 30))
     est = estimate_norm(DenseMatrix(m))
@@ -195,13 +208,17 @@ def operator_suite(seed=0):
     rel = abs(est - true) / true
     results.append(("power-iteration-vs-svd", rel <= 1e-6, f"rel err {rel:.2e}"))
 
-    est = estimate_norm(Difference1D(200)) ** 2
-    true = 2.0 - 2.0 * np.cos(199 * np.pi / 200)
-    results.append(("difference-1d-spectral-constant", abs(est - true) <= 1e-4,
-                    f"estimate {est:.6f}, closed form {true:.6f}"))
+    # power iteration approaches lambda_max from below, so it may not exceed norm_sq
+    op = Difference1D(200)
+    est = estimate_norm(op) ** 2
+    results.append(("difference-1d-spectral-constant",
+                    est <= op.norm_sq and op.norm_sq - est <= 1e-4,
+                    f"estimate {est:.6f}, norm_sq {op.norm_sq:.6f}"))
 
-    est = estimate_norm(Gradient2D(64, 64)) ** 2
-    results.append(("gradient-2d-spectral-constant", 7.9 <= est <= 8.0, f"estimate {est:.6f}"))
+    op = Gradient2D(64, 64)
+    est = estimate_norm(op) ** 2
+    results.append(("gradient-2d-spectral-constant", 7.9 <= est <= min(op.norm_sq, 8.0),
+                    f"estimate {est:.6f}, norm_sq {op.norm_sq:.6f}"))
 
     return results
 

@@ -90,8 +90,8 @@ def test_criterion_3_envelope_gradient_finite_differences(prox_rows):
 def test_criterion_4_spectral_facts(operator_rows):
     ok, detail = read_rows(
         operator_rows, ("difference-1d-spectral-constant", "gradient-2d-spectral-constant"), 2)
-    report(4, ok, f"difference-1d(200) lambda_max within 1e-4 of its closed form, "
-                  f"gradient-2d(64) in [7.9, 8.0]: {detail}")
+    report(4, ok, f"power-iteration lambda_max at most norm_sq and within 1e-4 of it for "
+                  f"difference-1d(200), in [7.9, 8.0] for gradient-2d(64): {detail}")
 
 
 def test_criterion_5_fused_lasso_desk_reproduction():

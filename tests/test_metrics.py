@@ -82,6 +82,8 @@ class TestSsim:
         assert ssim_global(f, g, 1.0) == ssim_global(f.ravel(), g.ravel(), 1.0)
 
     def test_rejects_bad_dynamic_range(self):
-        with pytest.raises(ValueError):
-            ssim_global(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        # NaN and inf would give NaN for two identical images, not 1
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ssim_global(np.zeros((2, 2)), np.zeros((2, 2)), bad)
 

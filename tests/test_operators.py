@@ -137,6 +137,20 @@ class TestGradient2D:
             est = estimate_norm(Gradient2D(n, n)) ** 2
             assert abs(est - 2 * (2 + 2 * np.cos(np.pi / n))) < 1e-4
 
+    def test_rows_fail_for_a_wrong_closed_form(self, monkeypatch):
+        # operator_suite is the only check of norm_sq, so show it can fail.
+        # The square-grid form 2 (2 + 2 cos(pi/rows)) is right at 64x64, so
+        # only the non-square grids catch it.
+        monkeypatch.setattr(Gradient2D, "norm_sq",
+                            property(lambda self: 2 * (2 + 2 * np.cos(np.pi / self.rows))))
+        rows = suite_rows(operator_suite)
+        ok, detail = rows["difference-spectrum-closed-form"]
+        assert not ok and "gradient-2d(" in detail
+        assert_row(rows, "gradient-2d-spectral-constant")
+        # a value below the power-iteration estimate is not a bound on ||B||^2
+        monkeypatch.setattr(Gradient2D, "norm_sq", property(lambda self: 7.99))
+        assert not suite_rows(operator_suite)["gradient-2d-spectral-constant"][0]
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Gradient2D(1, 5)

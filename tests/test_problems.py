@@ -60,7 +60,7 @@ class TestFusedLassoInstance:
         assert p.f.op.matrix.shape == (100, 200)
         assert p.g.weight == 0.2 and p.h.weight == 0.8
         assert p.meta["noise_var"] == 0.01
-        assert p.b_lam_max == 4.0 and p.b_norm == 2.0
+        assert p.b_lam_max == 4.0
 
     def test_same_seed_bit_identical(self):
         a = build_fused_lasso(seed=42)

@@ -89,6 +89,14 @@ class TestProxValues:
         with pytest.raises(ValueError, match="2x2"):
             NuclearNorm(1.0, (2, 2)).prox(1.0, np.zeros(6))
 
+    @pytest.mark.parametrize("shape", [(3.7, 4), (3, 4.0), (0, 4), (3, float("nan"))],
+                             ids=["float-rows", "integral-float-cols", "zero-rows", "nan-cols"])
+    def test_nuclear_shape_must_be_integers(self, shape):
+        # a float shape is not truncated: (3.7, 4) must not become a 3x4 matrix
+        with pytest.raises(ValueError, match="integers"):
+            NuclearNorm(1.0, shape)
+        assert NuclearNorm(1.0, (np.int64(3), 4)).shape == (3, 4)
+
     def test_step_must_be_positive(self):
         f = L1Norm(1.0)
         methods = (f.prox, f.prox_conjugate, f.scaled_conjugate_prox,

@@ -1,5 +1,4 @@
 import inspect
-import math
 import sys
 import threading
 import time
@@ -7,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from splitopt.operators import DenseMatrix, Identity
+from splitopt import operators
+from splitopt.operators import DenseMatrix, Identity, estimate_norm
 from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
 from splitopt.smooth import LeastSquares, ZeroSmooth
@@ -305,6 +305,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sigma"):
             solve_fb_primal_dual(p, bad)
 
+    def test_lam_checked_against_the_exact_lambda_max(self):
+        # 2/lambda_max(D^T D) = 0.5000308 for n = 200; power iteration's lower
+        # lambda_max = 3.999731 would admit lam = 0.500032
+        p = build_fused_lasso()
+        bad = SolverConfig(gamma=1.9 / p.f.lipschitz, lam=0.500032, max_outer=1)
+        with pytest.raises(ConfigError, match=r"lam=0\.500032 outside .* = \(0, 0\.500030"):
+            solve_tos_dual(p, bad)
+
+    def test_sigma_tau_checked_against_the_exact_norm(self):
+        # sigma tau ||D||^2 = 1.0000033 with the exact ||D||^2 = 3.999753; the
+        # message shows enough digits to see that it is not below 1
+        p = build_fused_lasso()
+        bad = SolverConfig(gamma=1.9 / p.f.lipschitz, sigma=1 / 3.99974, tau=1.0, max_outer=1)
+        with pytest.raises(ConfigError, match=r"= 1\.000003\d* must be < 1"):
+            solve_fb_primal_dual(p, bad)
+
     def test_condat_vu_standard_condition(self):
         p = small_lasso()
         bad = SolverConfig(gamma=1.9 / p.f.lipschitz, sigma=1.0, tau=1.0)
@@ -351,7 +367,7 @@ class TestConfigValidation:
         # ||B|| = sqrt(8) and ||B||^2 = 8.000000000000002, not 8
         for build in (build_ct_problem, build_lrtv_problem):
             p = build()
-            assert p.b_lam_max == 8.0 and p.b_norm == math.sqrt(8.0)
+            assert p.b_lam_max == 8.0
             c1 = preset_config(p, "type-I", gamma=0.1)
             assert (c1.lam, c1.sigma, c1.tau) == (0.2375, 0.12499999999999997, 1.0)
             c2 = preset_config(p, "type-II", gamma=0.1)
@@ -556,7 +572,6 @@ class TestCallCounts:
         if name == "condat-vu":  # the steps of fb-pd at J = 1, reparameterized
             c = SolverConfig(gamma=c.gamma, sigma=c.sigma / c.gamma,
                              tau=c.tau * c.gamma / (1 + c.tau), eps=1e-16, max_outer=7)
-        p.exact_b_norm()  # force the lazy ||B||, so that only the iterations are counted
         counts = [0] * 6
         for i, (obj, method) in enumerate(((p.f.op, "apply"), (p.f.op, "adjoint_apply"),
                                            (p.B, "apply"), (p.B, "adjoint_apply"),
@@ -566,6 +581,22 @@ class TestCallCounts:
         expected = [7 * n for n in self.PER_ITER[name]]
         expected[0] += name in self.START_A
         assert counts == expected
+
+    @pytest.mark.parametrize("build", [
+        build_fused_lasso,
+        lambda: build_ct_problem(img_side=16, views=4, rays=12, seed=1),
+        lambda: build_lrtv_problem(rows=16, cols=16),
+    ], ids=["fused-lasso", "ct", "lrtv-sr"])
+    def test_power_iteration_runs_once_for_a(self, monkeypatch, build):
+        # B's spectral constant is closed-form, and A's is estimated once
+        estimated = []
+        monkeypatch.setattr(operators, "estimate_norm",
+                            lambda op: estimated.append(op) or estimate_norm(op))
+        p = build()
+        for solve in (solve_fb_dual, solve_fb_primal_dual):
+            solve(p, preset_config(p, "type-II", max_outer=1))
+        p.exact_b_norm()
+        assert estimated == [p.f.op]
 
     @staticmethod
     def _counted(counts, i, fn):
