@@ -224,11 +224,13 @@ class Gradient2D(LinearMap):
 
     def _apply(self, x):
         img = x.reshape(self.rows, self.cols)
-        h = np.zeros_like(img)
-        v = np.zeros_like(img)
-        h[:, :-1] = img[:, 1:] - img[:, :-1]
-        v[:-1, :] = img[1:, :] - img[:-1, :]
-        return np.concatenate([h.ravel(), v.ravel()])
+        out = np.empty((2, self.rows, self.cols))
+        h, v = out
+        np.subtract(img[:, 1:], img[:, :-1], out=h[:, :-1])
+        h[:, -1] = 0.0
+        np.subtract(img[1:, :], img[:-1, :], out=v[:-1, :])
+        v[-1, :] = 0.0
+        return out.ravel()
 
     def _adjoint(self, y):
         n = self.rows * self.cols
