@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import nmsd as _nmsd
-from .metrics import snr as _snr
-from .metrics import ssim_global as _ssim
+from .metrics import Reference, ssim_constants
 from .operators import Identity
 
 __all__ = [
@@ -234,7 +232,10 @@ def _run(problem, config, solver, step, start):
     x_prev = None
     obj_ref = None
     converged = False
-    gt = problem.ground_truth
+    ref = None if problem.ground_truth is None else Reference(problem.ground_truth)
+    with_ssim = ref is not None and problem.record_ssim
+    if with_ssim:
+        c1, c2 = ssim_constants(problem.dynamic_range)
     for k in range(1, config.max_outer + 1):
         state, x = step(state)
         if not np.all(np.isfinite(x)):
@@ -248,12 +249,12 @@ def _run(problem, config, solver, step, start):
         if x_prev is not None:
             rel = float(np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30))
         rec = IterationRecord(k=k, objective=obj, rel_change=rel)
-        if gt is not None:
-            rec.snr = _snr(gt, x)
-            rec.nmsd = _nmsd(gt, x)
-            if problem.record_ssim:
-                shape = problem.image_shape
-                rec.ssim = _ssim(gt.reshape(shape), x.reshape(shape), problem.dynamic_range)
+        if ref is not None:
+            err = ref.error_norm(x)
+            rec.snr = ref.snr(err)
+            rec.nmsd = ref.nmsd(err)
+            if with_ssim:
+                rec.ssim = ref.ssim(x, c1, c2)
         records.append(rec)
         if iterates is not None:
             iterates.append(x.copy())
