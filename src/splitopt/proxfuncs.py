@@ -4,13 +4,18 @@ Each class evaluates its function and computes the proximity operator
 
     prox_{t f}(v) = argmin_x  0.5 ||x - v||^2 + t f(x),   t > 0,
 
-exactly.  Conjugate proxes are derived through the Moreau decomposition
+exactly.  Where the conjugate is the indicator of a simple set, the
+conjugate prox is that set's projection in closed form: the l-inf ball for
+``L1Norm`` and the pairwise 2-balls for ``GroupL21``, both independent of the
+step.  Every other conjugate prox comes from the Moreau decomposition
 
     prox_{t f*}(v) = v - t prox_{f / t}(v / t),
 
-so no conjugate ever needs its own formula.  Indicator functions return the
-+inf sentinel from ``value`` when their constraint is violated; numpy's inf
-propagates through objective sums without corrupting finite comparisons.
+which is also the independent code that the ``moreau-identity`` and
+``conjugate-scaling`` verify rows check the closed forms against.  Indicator
+functions return the +inf sentinel from ``value`` when their constraint is
+violated; numpy's inf propagates through objective sums without corrupting
+finite comparisons.
 
 All instances are immutable and every method is pure.
 """
@@ -64,6 +69,7 @@ class ProxFunction:
         raise NotImplementedError
 
     def _prox_conjugate(self, step, v):
+        # the Moreau decomposition; subclasses with a closed form override it
         return v - step * self._prox(1.0 / step, v / step)
 
     def prox(self, step, v):
@@ -71,7 +77,7 @@ class ProxFunction:
         return self._prox(_positive(step, "prox step"), _vector(v))
 
     def prox_conjugate(self, step, v):
-        """prox_{step * f*}(v) via the Moreau decomposition."""
+        """prox_{step * f*}(v), in closed form or via the Moreau decomposition."""
         return self._prox_conjugate(_positive(step, "prox step"), _vector(v))
 
     def scaled_conjugate_prox(self, lam, v):
@@ -92,7 +98,8 @@ class ProxFunction:
 
 
 class L1Norm(ProxFunction):
-    """weight * ||x||_1; prox is soft thresholding."""
+    """weight * ||x||_1; prox is soft thresholding, and the conjugate prox is
+    the projection onto the l-inf ball of radius weight."""
 
     kind = "l1"
 
@@ -105,13 +112,17 @@ class L1Norm(ProxFunction):
     def _prox(self, step, v):
         return _soft_threshold(v, step * self.weight)
 
+    def _prox_conjugate(self, step, v):
+        return np.clip(v, -self.weight, self.weight)
+
 
 class GroupL21(ProxFunction):
     """weight * sum_i sqrt(y_i^2 + y_{n+i}^2) on stacked vectors of even length.
 
     Entry i is paired with entry n+i, matching the layout of the stacked 2-d
     gradient, so this is the isotropic total variation of the gradient image.
-    The prox shrinks each pair radially.
+    The prox shrinks each pair radially; the conjugate prox projects each pair
+    onto the disc of radius weight.
     """
 
     kind = "group-l21"
@@ -120,23 +131,30 @@ class GroupL21(ProxFunction):
         self.weight = _weight(weight)
 
     @staticmethod
-    def _split(x):
+    def _pairs(x):
+        """x as a (2, n) array of pairs, and the norm of each pair."""
         if x.size % 2:
             raise ValueError(f"grouped norm needs an even-length vector, got {x.size}")
-        n = x.size // 2
-        return x[:n], x[n:]
+        pairs = x.reshape(2, -1)
+        a, b = pairs
+        return pairs, np.sqrt(a * a + b * b)
 
     def value(self, x):
-        a, b = self._split(_vector(x))
-        return self.weight * float(np.sum(np.hypot(a, b)))
+        _, norms = self._pairs(_vector(x))
+        return self.weight * float(np.sum(norms))
 
     def _prox(self, step, v):
-        a, b = self._split(v)
-        norms = np.hypot(a, b)
+        pairs, norms = self._pairs(v)
         scale = np.zeros_like(norms)
         nz = norms > 0
         scale[nz] = np.maximum(0.0, 1.0 - step * self.weight / norms[nz])
-        return np.concatenate([a * scale, b * scale])
+        return (pairs * scale).ravel()
+
+    def _prox_conjugate(self, step, v):
+        pairs, norms = self._pairs(v)
+        if self.weight == 0.0:  # the disc is a point; w / max(0, 0) would be 0/0
+            return np.zeros_like(v)
+        return (pairs * (self.weight / np.maximum(norms, self.weight))).ravel()
 
 
 class NonnegativeIndicator(ProxFunction):

@@ -186,6 +186,51 @@ class TestConjugate:
             NuclearNorm(w, (3, 4)).prox_conjugate(s, v).reshape(3, 4), expected, atol=1e-12
         )
 
+    @pytest.mark.parametrize("cls", [L1Norm, GroupL21], ids=["l1", "group-l21"])
+    def test_zero_weight_gives_exact_zeros(self, cls):
+        # the ball of radius 0 is a point; no 0/0 on a zero pair either
+        v = np.array([3.0, 0.0, -0.0, -2.5])
+        for step in (0.3, 1.0, 7.0):
+            assert np.array_equal(cls(0.0).prox_conjugate(step, v), np.zeros(4))
+            assert np.array_equal(cls(0.0).scaled_conjugate_prox(step, v), np.zeros(4))
+
+    def test_group_conjugate_edge_pairs(self):
+        # pairs (0, 0), (3, 4) and (0, -5) on the circle of radius 5, (6, 8)
+        # outside it and (1, 0) inside; every value below is exact
+        v = np.array([0.0, 3.0, 0.0, 6.0, 1.0, 0.0, 4.0, -5.0, 8.0, 0.0])
+        out = GroupL21(5.0).prox_conjugate(1.0, v)
+        np.testing.assert_array_equal(out, [0.0, 3.0, 0.0, 3.0, 1.0, 0.0, 4.0, -5.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("f", [L1Norm(0.7), GroupL21(0.9)], ids=["l1", "group-l21"])
+    def test_closed_form_is_independent_of_step(self, f):
+        # the conjugate is an indicator, so its prox is a projection for every step
+        v = 2.0 * np.random.default_rng(9).standard_normal(DIM)
+        ref = f.prox_conjugate(1.0, v)
+        for step in (1e-6, 0.37, 5.0, 1e6):
+            np.testing.assert_array_equal(f.prox_conjugate(step, v), ref)
+
+    def test_group_conjugate_rejects_odd_length(self):
+        with pytest.raises(ValueError, match="even-length"):
+            GroupL21(0.9).prox_conjugate(1.0, np.zeros(5))
+
+    def test_rows_fail_for_a_wrong_closed_form(self, monkeypatch):
+        # the closed forms make these rows a check of two independent codes,
+        # so projecting onto radius 2w instead of w must fail them
+        def l1_ball_2w(self, step, v):
+            return np.clip(v, -2 * self.weight, 2 * self.weight)
+
+        def discs_2w(self, step, v):
+            pairs, radius = v.reshape(2, -1), 2 * self.weight
+            return (pairs * (radius / np.maximum(np.hypot(*pairs), radius))).ravel()
+
+        monkeypatch.setattr(L1Norm, "_prox_conjugate", l1_ball_2w)
+        monkeypatch.setattr(GroupL21, "_prox_conjugate", discs_2w)
+        rows = suite_rows(prox_suite)
+        for prop in ("moreau-identity", "conjugate-scaling"):
+            for kind in ("l1", "group-l21"):
+                assert not rows[f"{prop}[{kind}]"][0]
+            assert_row(rows, f"{prop}[nuclear]")
+
 
 class TestEnvelope:
     def test_zero_gradient_at_fixed_point(self):
