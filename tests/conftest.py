@@ -1,9 +1,23 @@
 """The rows of the ``verify`` property suites at seed 3, shared by the unit
-tests and the acceptance criteria, so each property has one implementation."""
+tests and the acceptance criteria, so each property has one implementation.
+
+Every warning raised by a test in this directory is an error, so a 0/0 or an
+overflow in a vectorised kernel fails the suite instead of leaking a NaN."""
+
+from pathlib import Path
 
 import pytest
 
 from splitopt.verification import equivalence_suite, operator_suite, prox_suite
+
+HERE = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    # hooks see the whole session, so leave tests outside this directory alone
+    for item in items:
+        if HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def suite_rows(suite):
