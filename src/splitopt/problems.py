@@ -74,6 +74,10 @@ class SplitProblem:
             raise ValueError(
                 f"matrix penalty shape {g_shape} does not match operator domain {self.B.in_dim}"
             )
+        if self.image_shape is not None and math.prod(self.image_shape) != self.B.in_dim:
+            raise ValueError(
+                f"image shape {self.image_shape} does not match operator domain {self.B.in_dim}"
+            )
 
     @property
     def dim(self):

@@ -268,6 +268,17 @@ class TestDimensionChain:
             SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
                          h=L1Norm(0.1), B=Gradient2D(4, 4))
 
+    def test_mismatched_image_shape_rejected(self):
+        # SSIM is taken over the flat vectors, so nothing else would notice
+        from splitopt.operators import Gradient2D
+        from splitopt.proxfuncs import L1Norm
+        from splitopt.smooth import ZeroSmooth
+        from splitopt.problems import SplitProblem
+
+        with pytest.raises(ValueError, match="image shape"):
+            SplitProblem(f=ZeroSmooth(16), g=L1Norm(0.1), h=L1Norm(0.1), B=Gradient2D(4, 4),
+                         ground_truth=np.zeros(16), image_shape=(3, 3), dynamic_range=1.0)
+
 
 class TestExport:
     def test_roundtrip(self, tmp_path):
