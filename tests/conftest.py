@@ -13,7 +13,7 @@ from splitopt.verification import equivalence_suite, operator_suite, prox_suite
 HERE = Path(__file__).parent
 
 
-def pytest_collection_modifyitems(config, items):
+def pytest_collection_modifyitems(items):
     # hooks see the whole session, so leave tests outside this directory alone
     for item in items:
         if HERE in item.path.parents:
