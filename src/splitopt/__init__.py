@@ -23,7 +23,6 @@ from .problems import (
     build_ct_problem,
     build_fused_lasso,
     build_lrtv_problem,
-    export_instance,
     fan_beam_matrix,
     fused_lasso_signal,
     shepp_logan,

@@ -288,13 +288,13 @@ def cmd_run(args):
                     except DivergenceError as exc:
                         print(f"divergence: {exc}", file=sys.stderr)
                         return EXIT_DIVERGENCE
-                    fname = f"{problem.name}_{solver_id}_J{inner}_eps{eps:g}.csv"
+                    fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
                     _atomic_write(os.path.join(preset_dir, fname),
                                   _trace_csv(trace, problem.record_ssim))
                     last = trace.final_record
                     iters = str(trace.total_outer) if trace.converged else "MAXITER"
                     summary_lines.append(",".join([
-                        problem.name, preset, solver_id, str(inner), f"{eps:g}", iters,
+                        cfg["experiment"], preset, solver_id, str(inner), f"{eps:g}", iters,
                         _fmt(last.objective), _fmt(last.nmsd), _fmt(last.snr), _fmt(last.ssim),
                     ]))
                     print(f"{preset} {solver_id} J={inner} eps={eps:g}: "

@@ -92,9 +92,6 @@ class DenseMatrix(LinearMap):
     def _adjoint(self, y):
         return self.matrix.T @ y
 
-    def to_dense(self):
-        return self.matrix.copy()
-
 
 def _segments(keys, others, values):
     # the triplets stably sorted by ``keys``, with each non-empty key's first position

@@ -8,11 +8,9 @@ bit for bit on any platform.
 Noise arguments are variances; the standard deviation used is sqrt(noise_var).
 """
 
-import json
 import math
 import numbers
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +32,12 @@ __all__ = [
     "fused_lasso_signal",
     "shepp_logan",
     "fan_beam_matrix",
-    "export_instance",
 ]
 
 
 @dataclass
 class SplitProblem:
-    """One instance of  min_x f(x) + g(x) + h(Bx)  plus experiment metadata.
+    """One instance of  min_x f(x) + g(x) + h(Bx).
 
     ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
     step-size presets use where the experiment defines one; step-size
@@ -54,13 +51,11 @@ class SplitProblem:
     h: object
     B: object
     ground_truth: np.ndarray | None = None
-    name: str = ""
     image_shape: tuple | None = None
     x0: np.ndarray | None = None
     b_lam_max: float | None = None
     gamma_default: float | None = None
     dynamic_range: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         f_op = getattr(self.f, "op", None)
@@ -150,10 +145,8 @@ def build_fused_lasso(m=100, n=200, mu1=0.2, mu2=0.8, noise_var=0.01, seed=0):
         h=L1Norm(mu2),
         B=Difference1D(n),
         ground_truth=x_true,
-        name="fused-lasso",
         # conventional step-size constant for the 1-d difference operator
         b_lam_max=4.0,
-        meta={"m": m, "n": n, "mu1": mu1, "mu2": mu2, "noise_var": noise_var, "seed": seed},
     )
 
 
@@ -302,13 +295,8 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
         h=h,
         B=Gradient2D(img_side, img_side),
         ground_truth=x_true,
-        name="constrained-tv-ct",
         image_shape=(img_side, img_side),
         b_lam_max=8.0,
-        meta={
-            "img_side": img_side, "views": views, "rays": rays, "mu": mu,
-            "noise_var": noise_var, "tv_kind": tv_kind, "seed": seed,
-        },
     )
 
 
@@ -366,54 +354,9 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
         h=GroupL21(lambda2),
         B=Gradient2D(rows, cols),
         ground_truth=x_img.ravel(),
-        name="lrtv-sr",
         image_shape=(rows, cols),
         x0=x0,
         b_lam_max=8.0,
         gamma_default=0.1,
         dynamic_range=float(x_img.max() - x_img.min()),
-        meta={
-            "rows": rows, "cols": cols, "blur_sigma": blur_sigma, "factor": factor,
-            "lambda1": lambda1, "lambda2": lambda2, "seed": seed,
-        },
     )
-
-
-# ---------------------------------------------------------------------------
-# portable export
-# ---------------------------------------------------------------------------
-
-def export_instance(problem, directory):
-    """Write an instance to ``directory`` as .npy arrays plus manifest.json.
-
-    Files: forward.npy (dense matrix of the data-fit operator), target.npy,
-    ground_truth.npy and x0.npy when present.  The manifest records the
-    experiment name, dimensions, penalty kinds/weights, and the file map.
-    """
-    os.makedirs(directory, exist_ok=True)
-    files = {}
-
-    def save(name, arr):
-        np.save(os.path.join(directory, name + ".npy"), np.asarray(arr, dtype=float))
-        files[name] = name + ".npy"
-
-    save("forward", problem.f.op.to_dense())
-    save("target", problem.f.target)
-    if problem.ground_truth is not None:
-        save("ground_truth", problem.ground_truth)
-    if problem.x0 is not None:
-        save("x0", problem.x0)
-    manifest = {
-        "name": problem.name,
-        "dim": problem.dim,
-        "g": {"kind": problem.g.kind, "weight": getattr(problem.g, "weight", None)},
-        "h": {"kind": problem.h.kind, "weight": getattr(problem.h, "weight", None)},
-        "penalty_operator": problem.B.kind,
-        "image_shape": list(problem.image_shape) if problem.image_shape else None,
-        "meta": problem.meta,
-        "files": files,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest

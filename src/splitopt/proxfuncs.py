@@ -122,7 +122,8 @@ class GroupL21(ProxFunction):
     Entry i is paired with entry n+i, matching the layout of the stacked 2-d
     gradient, so this is the isotropic total variation of the gradient image.
     The prox shrinks each pair radially; the conjugate prox projects each pair
-    onto the disc of radius weight.
+    onto the disc of radius weight.  A pair entry above about 1.3e154 overflows
+    when squared: ``value`` then reads inf and ``prox_conjugate`` returns zeros.
     """
 
     kind = "group-l21"

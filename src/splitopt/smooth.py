@@ -8,8 +8,6 @@ __all__ = ["SmoothFunction", "LeastSquares", "ZeroSmooth"]
 class SmoothFunction:
     """Convex, differentiable, with an L-Lipschitz gradient."""
 
-    kind = "abstract"
-
     def value(self, x):
         raise NotImplementedError
 
@@ -32,8 +30,6 @@ class LeastSquares(SmoothFunction):
     another point's residual.  ``op`` and ``target`` must not change after
     construction.
     """
-
-    kind = "least-squares"
 
     def __init__(self, op, target):
         target = np.asarray(target, dtype=float).ravel()
@@ -68,8 +64,6 @@ class LeastSquares(SmoothFunction):
 
 class ZeroSmooth(SmoothFunction):
     """The zero function; gradient 0 with Lipschitz constant 0."""
-
-    kind = "zero"
 
     def __init__(self, dim):
         self.dim = int(dim)

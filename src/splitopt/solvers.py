@@ -18,7 +18,8 @@ single-loop form of the primal-dual three-operator scheme).
 Step-size conditions, checked against the problem before iterating:
 gamma in (0, 2/L); for dual inner solvers lam in (0, 2/lambda_max(B B^T));
 for primal-dual inner solvers sigma tau ||B||^2 < 1.  The spectral quantities
-use the power-iteration estimate of ||B||.
+come from ``B.norm_sq``: closed form for ``Identity``, ``Difference1D`` and
+``Gradient2D``, the power-iteration estimate for any other operator.
 
 Stopping: relative change ||x_{k+1} - x_k|| / max(||x_k||, 1e-30) <= eps,
 evaluated from the second computed iterate on.  Non-finite iterates or a

@@ -1,14 +1,17 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import splitopt
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(splitopt.__path__))
+PACKAGE = Path(splitopt.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,3 +30,32 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(path):
+    # module-level imports whose bound name the module never reads; names in
+    # ``__all__`` count as read, and an alias on a ``# noqa: F401`` line is exempt
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in used and "# noqa: F401" not in lines[line - 1]]
+
+
+def test_no_unused_module_imports():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -1,6 +1,3 @@
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -9,7 +6,6 @@ from splitopt.problems import (
     build_ct_problem,
     build_fused_lasso,
     build_lrtv_problem,
-    export_instance,
     fan_beam_matrix,
     fan_beam_rays,
     fused_lasso_signal,
@@ -59,7 +55,11 @@ class TestFusedLassoInstance:
         p = build_fused_lasso()
         assert p.f.op.matrix.shape == (100, 200)
         assert p.g.weight == 0.2 and p.h.weight == 0.8
-        assert p.meta["noise_var"] == 0.01
+        # the default noise variance is 0.01: A is drawn first, then e
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((100, 200))
+        e = rng.standard_normal(100)
+        np.testing.assert_array_equal(p.f.target, a @ fused_lasso_signal(200) + np.sqrt(0.01) * e)
         assert p.b_lam_max == 4.0
 
     def test_same_seed_bit_identical(self):
@@ -278,20 +278,3 @@ class TestDimensionChain:
         with pytest.raises(ValueError, match="image shape"):
             SplitProblem(f=ZeroSmooth(16), g=L1Norm(0.1), h=L1Norm(0.1), B=Gradient2D(4, 4),
                          ground_truth=np.zeros(16), image_shape=(3, 3), dynamic_range=1.0)
-
-
-class TestExport:
-    def test_roundtrip(self, tmp_path):
-        p = build_fused_lasso(m=10, n=20, seed=4)
-        manifest = export_instance(p, tmp_path)
-        with open(os.path.join(tmp_path, "manifest.json")) as fh:
-            on_disk = json.load(fh)
-        assert on_disk == manifest
-        forward = np.load(tmp_path / "forward.npy")
-        np.testing.assert_array_equal(forward, p.f.op.matrix)
-        target = np.load(tmp_path / "target.npy")
-        np.testing.assert_array_equal(target, p.f.target)
-        truth = np.load(tmp_path / "ground_truth.npy")
-        np.testing.assert_array_equal(truth, p.ground_truth)
-        assert on_disk["g"] == {"kind": "l1", "weight": 0.2}
-        assert on_disk["name"] == "fused-lasso"
