@@ -37,7 +37,7 @@ from .proxfuncs import (
     QuadraticDistance,
     ZeroFunction,
 )
-from .smooth import LeastSquares, SmoothFunction, ZeroSmooth
+from .smooth import LeastSquares, ZeroSmooth
 from .solvers import (
     SOLVERS,
     ConfigError,

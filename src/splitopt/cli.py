@@ -8,12 +8,12 @@ Subcommands:
 Configs are INI files with an [experiment] section, a [run] section, and an
 optional [custom] section holding explicit step sizes for ``presets = custom``.
 The [experiment] keys are the parameters of the experiment's instance builder
-(with its signature defaults); a key that a section does not know is a
-malformed config, and so is a sweep in which two cells would write the same
-file (a repeated preset, solver id or inner_iters value, or two eps values
-that format alike), and so is an empty solvers, presets, inner_iters or eps
-list, and so is a file that is not valid INI.  The environment variable
-SPLITOPT_OUTPUT_DIR overrides the configured output directory.
+(with its signature defaults).  A malformed config is one with any other
+section, [DEFAULT] included, a key that its section does not know, a sweep
+in which two cells would write the same file (a repeated preset, solver id
+or inner_iters value, or two eps values that format alike), an empty
+solvers, presets, inner_iters or eps list, or text that is not valid INI.
+The environment variable SPLITOPT_OUTPUT_DIR overrides the output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
 3 verification failure; 4 unwritable output directory; 5 unknown solver id
@@ -146,14 +146,14 @@ def _loop_list(run, key, conv):
 
 
 def _check_keys(parser, section, known):
-    # keys inherited from [DEFAULT] reach every section; only a section's own count
-    unknown = sorted(set(parser[section]) - set(known) - set(parser.defaults()))
+    unknown = sorted(set(parser[section]) - set(known))
     if unknown:
         raise CliConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def _read_config(path):
-    parser = configparser.ConfigParser()
+    # no default section: a [DEFAULT] is a section like any other, so it is rejected as unknown
+    parser = configparser.ConfigParser(default_section=None)
     try:
         if not parser.read(path):
             raise CliConfigError(f"cannot read config file {path!r}")
@@ -163,6 +163,9 @@ def _read_config(path):
 
 
 def _parse_config(parser):
+    unknown = sorted(set(parser.sections()) - {"experiment", "run", "custom"})
+    if unknown:
+        raise CliConfigError(f"unknown section(s): {', '.join(f'[{s}]' for s in unknown)}")
     if "experiment" not in parser or "run" not in parser:
         raise CliConfigError("config needs [experiment] and [run] sections")
     experiment, run = parser["experiment"], parser["run"]
@@ -228,7 +231,8 @@ def _atomic_write(path, text):
         raise
 
 
-def _trace_csv(trace, with_ssim):
+def _trace_csv(trace):
+    with_ssim = trace.final_record.ssim is not None
     header = "iter,objective,rel_change,snr,nmsd"
     if with_ssim:
         header += ",ssim"
@@ -289,8 +293,7 @@ def cmd_run(args):
                         print(f"divergence: {exc}", file=sys.stderr)
                         return EXIT_DIVERGENCE
                     fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
-                    _atomic_write(os.path.join(preset_dir, fname),
-                                  _trace_csv(trace, problem.record_ssim))
+                    _atomic_write(os.path.join(preset_dir, fname), _trace_csv(trace))
                     last = trace.final_record
                     iters = str(trace.total_outer) if trace.converged else "MAXITER"
                     summary_lines.append(",".join([

@@ -6,9 +6,10 @@ by snr = -20 log10(nmsd); an exact recovery gives nmsd = 0 and snr = +inf.
 All metrics flatten their inputs, so image arguments may be passed in any
 shape as long as both agree.
 
-``Reference`` holds what the metrics need of the true signal, so the solver
-driver computes it once per solve and ``||x - x_r||`` once per iterate; the
-public functions are one-shot uses of the same code.
+``Reference`` holds what the metrics need of the true signal, and decides
+which metrics one iterate gets: SNR and NMSD always, SSIM when a dynamic
+range is given.  The solver driver builds one per solve and calls it once
+per iterate; the public functions are one-shot uses of the same code.
 """
 
 import numpy as np
@@ -20,23 +21,30 @@ def _flat(x):
     return np.asarray(x, dtype=float).ravel()
 
 
-def ssim_constants(dynamic_range):
-    """SSIM's stabilizers (c1, c2) = ((0.01 L)^2, (0.03 L)^2) for L = dynamic_range."""
-    if not 0 < dynamic_range < np.inf:  # negated, so that NaN fails too
-        raise ValueError(f"dynamic range must be positive and finite, got {dynamic_range}")
-    return (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
-
-
 class Reference:
     """A true signal with its mean, deviation from that mean, the deviation's
-    norm and its population variance, each computed once."""
+    norm and its population variance, each computed once.
 
-    def __init__(self, x_true):
+    With a ``dynamic_range`` L it also holds SSIM's stabilizers
+    (c1, c2) = ((0.01 L)^2, (0.03 L)^2), and a call scores SSIM too.
+    """
+
+    def __init__(self, x_true, dynamic_range=None):
         self.x = _flat(x_true)
         self.mean = self.x.mean()
         self.dev = self.x - self.mean
         self.dev_norm = np.linalg.norm(self.dev)
         self.var = np.mean(self.dev**2)
+        self.ssim_c = None
+        if dynamic_range is not None:
+            if not 0 < dynamic_range < np.inf:  # negated, so that NaN fails too
+                raise ValueError(f"dynamic range must be positive and finite, got {dynamic_range}")
+            self.ssim_c = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+
+    def __call__(self, x_rec):
+        """(snr, nmsd, ssim) of one reconstruction; ssim is None without a dynamic range."""
+        err = self.error_norm(x_rec)
+        return self.snr(err), self.nmsd(err), None if self.ssim_c is None else self.ssim(x_rec)
 
     def _check(self, x_rec):
         x_rec = _flat(x_rec)
@@ -56,7 +64,8 @@ class Reference:
             return np.inf
         return float(20.0 * np.log10(self.dev_norm / err))
 
-    def ssim(self, x_rec, c1, c2):
+    def ssim(self, x_rec):
+        c1, c2 = self.ssim_c
         g = self._check(x_rec)
         mf, mg = self.mean, g.mean()
         dg = g - mg
@@ -87,5 +96,4 @@ def ssim_global(f_img, g_img, dynamic_range):
     luminance factor uses c1 and the contrast/structure factor uses c2.
     Symmetric in its arguments and equal to 1 exactly when the images match.
     """
-    c1, c2 = ssim_constants(dynamic_range)
-    return Reference(f_img).ssim(g_img, c1, c2)
+    return Reference(f_img, dynamic_range).ssim(g_img)

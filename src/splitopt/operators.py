@@ -143,13 +143,6 @@ class SparseMatrix(LinearMap):
     def _adjoint(self, y):
         return _segment_sums(self.in_dim, self._by_col, y)
 
-    def to_dense(self):
-        ids, starts, cols, values = self._by_row
-        rows = np.repeat(ids, np.diff(starts, append=values.size))
-        out = np.zeros((self.out_dim, self.in_dim))
-        np.add.at(out, (rows, cols), values)  # repeated pairs add in triplet order
-        return out
-
 
 class Identity(LinearMap):
     kind = "identity"
@@ -293,7 +286,6 @@ class BlurDownsample(LinearMap):
         super().__init__(rows * cols, (rows // factor) * (cols // factor))
         self.rows = rows
         self.cols = cols
-        self.sigma = sigma
         self.factor = factor
         kernel = _gaussian_kernel(sigma)
         self._m_rows = _blur_matrix(rows, kernel)
@@ -319,10 +311,7 @@ def estimate_norm(op):
     5000 sweeps.  Returns 0.0 for the zero operator.  Deterministic.
     """
     q = np.random.default_rng(0).standard_normal(op.in_dim)
-    nq = np.linalg.norm(q)
-    if nq == 0:
-        return 0.0
-    q /= nq
+    q /= np.linalg.norm(q)
     lam = 0.0
     for it in range(5000):
         w = op._apply(q)

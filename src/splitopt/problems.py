@@ -42,8 +42,8 @@ class SplitProblem:
     ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
     step-size presets use where the experiment defines one; step-size
     conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
-    square root.  SSIM is recorded when both ``image_shape`` and
-    ``dynamic_range`` are set.
+    square root.  A solve records SNR and NMSD when ``ground_truth`` is set,
+    and SSIM too when ``dynamic_range`` is set.
     """
 
     f: object
@@ -51,7 +51,6 @@ class SplitProblem:
     h: object
     B: object
     ground_truth: np.ndarray | None = None
-    image_shape: tuple | None = None
     x0: np.ndarray | None = None
     b_lam_max: float | None = None
     gamma_default: float | None = None
@@ -69,18 +68,10 @@ class SplitProblem:
             raise ValueError(
                 f"matrix penalty shape {g_shape} does not match operator domain {self.B.in_dim}"
             )
-        if self.image_shape is not None and math.prod(self.image_shape) != self.B.in_dim:
-            raise ValueError(
-                f"image shape {self.image_shape} does not match operator domain {self.B.in_dim}"
-            )
 
     @property
     def dim(self):
         return self.B.in_dim
-
-    @property
-    def record_ssim(self):
-        return self.dynamic_range is not None and self.image_shape is not None
 
     def exact_b_norm(self):
         return math.sqrt(self.B.norm_sq)
@@ -295,7 +286,6 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
         h=h,
         B=Gradient2D(img_side, img_side),
         ground_truth=x_true,
-        image_shape=(img_side, img_side),
         b_lam_max=8.0,
     )
 
@@ -354,7 +344,6 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
         h=GroupL21(lambda2),
         B=Gradient2D(rows, cols),
         ground_truth=x_img.ravel(),
-        image_shape=(rows, cols),
         x0=x0,
         b_lam_max=8.0,
         gamma_default=0.1,

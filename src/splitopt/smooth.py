@@ -1,25 +1,15 @@
-"""Differentiable data-fit terms."""
+"""Differentiable data-fit terms.
+
+A smooth term f is convex and differentiable with an L-Lipschitz gradient;
+the solvers read its ``value(x)``, ``gradient(x)`` and ``lipschitz`` (L).
+"""
 
 import numpy as np
 
-__all__ = ["SmoothFunction", "LeastSquares", "ZeroSmooth"]
+__all__ = ["LeastSquares", "ZeroSmooth"]
 
 
-class SmoothFunction:
-    """Convex, differentiable, with an L-Lipschitz gradient."""
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    @property
-    def lipschitz(self):
-        raise NotImplementedError
-
-
-class LeastSquares(SmoothFunction):
+class LeastSquares:
     """0.5 ||A x - b||^2 for a linear operator A and target b.
 
     The gradient is A^T (A x - b) and its Lipschitz constant is A's
@@ -62,7 +52,7 @@ class LeastSquares(SmoothFunction):
         return self.op.norm_sq
 
 
-class ZeroSmooth(SmoothFunction):
+class ZeroSmooth:
     """The zero function; gradient 0 with Lipschitz constant 0."""
 
     def __init__(self, dim):

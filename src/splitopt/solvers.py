@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import Reference, ssim_constants
+from .metrics import Reference
 from .operators import Identity
 
 __all__ = [
@@ -233,10 +233,9 @@ def _run(problem, config, solver, step, start):
     x_prev = None
     obj_ref = None
     converged = False
-    ref = None if problem.ground_truth is None else Reference(problem.ground_truth)
-    with_ssim = ref is not None and problem.record_ssim
-    if with_ssim:
-        c1, c2 = ssim_constants(problem.dynamic_range)
+    ref = None
+    if problem.ground_truth is not None:
+        ref = Reference(problem.ground_truth, problem.dynamic_range)
     for k in range(1, config.max_outer + 1):
         state, x = step(state)
         if not np.all(np.isfinite(x)):
@@ -249,21 +248,13 @@ def _run(problem, config, solver, step, start):
         rel = np.inf
         if x_prev is not None:
             rel = float(np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30))
-        rec = IterationRecord(k=k, objective=obj, rel_change=rel)
-        if ref is not None:
-            err = ref.error_norm(x)
-            rec.snr = ref.snr(err)
-            rec.nmsd = ref.nmsd(err)
-            if with_ssim:
-                rec.ssim = ref.ssim(x, c1, c2)
-        records.append(rec)
+        records.append(IterationRecord(k, obj, rel, *(() if ref is None else ref(x))))
         if iterates is not None:
             iterates.append(x.copy())
-        if x_prev is not None and rel <= config.eps:
-            converged = True
-            x_prev = x
-            break
         x_prev = x
+        if rel <= config.eps:
+            converged = True
+            break
     return SolveTrace(
         records=records,
         final_x=x_prev,

@@ -379,6 +379,23 @@ class TestExitCodes:
         assert err.startswith("config error: ") and "rows" in err and "factor" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, drop", [
+        ("[DEFAULT]\nmu_1 = 0.3\n", ""),
+        ("[costum]\nlambda = 0.25\n", ""),
+        # without the [experiment] mu1, a [DEFAULT] one would reach the builder
+        ("[DEFAULT]\nmu1 = 0.5\n", "mu1 = 0.2\n"),
+    ], ids=["default-typo", "misspelt-custom", "default-value"])
+    def test_unknown_section_rejected_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                        section, drop):
+        builds = count_builds(monkeypatch, "build_fused_lasso")
+        out = tmp_path / "r"
+        text = section + "\n" + TINY_CONFIG.format(out=out).replace(drop, "")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and section.split("\n")[0] in err
+        assert builds == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new", [
         ("seed = 3\n", "seed = 3\nseed = 4\n"),
         ("[experiment]\n", ""),

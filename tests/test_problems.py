@@ -209,7 +209,7 @@ class TestLrtvInstance:
         assert p.g.kind == "nuclear" and p.g.weight == 0.01
         assert p.h.kind == "group-l21" and p.h.weight == 0.01
         assert p.gamma_default == 0.1
-        assert p.image_shape == (32, 32) and p.record_ssim
+        assert p.dynamic_range == float(p.ground_truth.max() - p.ground_truth.min())
 
     def test_ground_truth_is_low_rank_unit_range(self):
         p = build_lrtv_problem(seed=0)
@@ -268,13 +268,3 @@ class TestDimensionChain:
             SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
                          h=L1Norm(0.1), B=Gradient2D(4, 4))
 
-    def test_mismatched_image_shape_rejected(self):
-        # SSIM is taken over the flat vectors, so nothing else would notice
-        from splitopt.operators import Gradient2D
-        from splitopt.proxfuncs import L1Norm
-        from splitopt.smooth import ZeroSmooth
-        from splitopt.problems import SplitProblem
-
-        with pytest.raises(ValueError, match="image shape"):
-            SplitProblem(f=ZeroSmooth(16), g=L1Norm(0.1), h=L1Norm(0.1), B=Gradient2D(4, 4),
-                         ground_truth=np.zeros(16), image_shape=(3, 3), dynamic_range=1.0)

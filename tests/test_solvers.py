@@ -407,7 +407,15 @@ class TestStoppingAndTrace:
         p = small_lasso()
         tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-8))
         assert tr.records[-1].snr is not None and tr.records[-1].nmsd is not None
-        assert tr.records[-1].ssim is None  # not an image problem
+        assert tr.records[-1].ssim is None  # no dynamic range
+
+    def test_ssim_recorded_with_dynamic_range(self):
+        # a ground truth and a dynamic range are all SSIM needs: it is taken over flat vectors
+        p = small_lasso()
+        p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=p.ground_truth,
+                         dynamic_range=3.0)
+        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-4))
+        assert all(np.isfinite(r.ssim) for r in tr.records)
 
     def test_fixed_point_property(self):
         p = small_lasso()
