@@ -43,7 +43,8 @@ class SplitProblem:
     step-size presets use where the experiment defines one; step-size
     conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
     square root.  A solve records SNR and NMSD when ``ground_truth`` is set,
-    and SSIM too when ``dynamic_range`` is set.
+    and rejects a constant one; it records SSIM too when ``dynamic_range``
+    is set.
     """
 
     f: object
@@ -181,39 +182,39 @@ def _check_size(name, value, minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
-_NO_CROSSING = (np.empty(0, dtype=np.intp), np.empty(0))
-
-
-def _trace_ray(side, bounds, sx, sy, dx, dy):
-    # exact ray-grid intersection lengths (Siddon traversal): the crossed
-    # pixels in traversal order and the length of the ray inside each
-    tmin, tmax = -np.inf, np.inf
-    for p, d in ((sx, dx), (sy, dy)):
-        if abs(d) < 1e-12:
-            if p < bounds[0] or p > bounds[-1]:
-                return _NO_CROSSING
-        else:
-            t0 = (bounds[0] - p) / d
-            t1 = (bounds[-1] - p) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            tmin = max(tmin, t0)
-            tmax = min(tmax, t1)
-    if tmax <= tmin:
-        return _NO_CROSSING
-    ts = [np.array([tmin, tmax])]
-    for p, d in ((sx, dx), (sy, dy)):
-        if abs(d) >= 1e-12:
-            t = (bounds - p) / d
-            ts.append(t[(t > tmin) & (t < tmax)])
-    ts = np.unique(np.concatenate(ts))
-    lengths = np.diff(ts)
-    mids = 0.5 * (ts[:-1] + ts[1:])
+def _trace_rays(side, geometry):
+    # exact ray-grid intersection lengths (Siddon traversal) for a block of
+    # (sx, sy, dx, dy) rows, as (row, pixel, length) triplets: each ray's
+    # entry, exit and grid crossings between them, sorted, give its crossed
+    # pixels in traversal order and its length inside each
+    bounds = np.arange(side + 1, dtype=float) - side / 2.0
+    tmin = np.full(len(geometry), -np.inf)
+    tmax = np.full(len(geometry), np.inf)
+    hit = np.ones(len(geometry), dtype=bool)
+    crossings = []
+    for p, d in ((geometry[:, 0], geometry[:, 2]), (geometry[:, 1], geometry[:, 3])):
+        flat = np.abs(d) < 1e-12  # parallel to this axis: it bounds nothing, or misses
+        hit &= ~flat | ((p >= bounds[0]) & (p <= bounds[-1]))
+        t = (bounds - p[:, None]) / np.where(flat, 1.0, d)[:, None]
+        tmin = np.maximum(tmin, np.where(flat, -np.inf, np.minimum(t[:, 0], t[:, -1])))
+        tmax = np.minimum(tmax, np.where(flat, np.inf, np.maximum(t[:, 0], t[:, -1])))
+        crossings.append((t, flat))
+    hit &= tmax > tmin
+    tmin, tmax = tmin[hit, None], tmax[hit, None]
+    ts = [tmin, tmax]
+    for t, flat in crossings:
+        t = t[hit]
+        # a crossing left out becomes a repeat of the exit: a zero length, dropped below
+        ts.append(np.where((t > tmin) & (t < tmax) & ~flat[hit, None], t, tmax))
+    ts = np.sort(np.concatenate(ts, axis=1), axis=1)
+    lengths = np.diff(ts, axis=1)
+    mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
     half = side / 2.0
+    sx, sy, dx, dy = (column[:, None] for column in geometry[hit].T)
     cx = np.floor(sx + mids * dx + half).astype(int)
     cy = np.floor(sy + mids * dy + half).astype(int)
     ok = (cx >= 0) & (cx < side) & (cy >= 0) & (cy < side) & (lengths > 1e-12)
-    return cy[ok] * side + cx[ok], lengths[ok]
+    return np.flatnonzero(hit)[np.nonzero(ok)[0]], cy[ok] * side + cx[ok], lengths[ok]
 
 
 def fan_beam_rays(side, angles, rays):
@@ -229,6 +230,8 @@ def fan_beam_rays(side, angles, rays):
     _check_size("rays", rays, 1)
     if len(angles) < 1:
         raise ValueError("degenerate scan geometry: no view angles")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"view angles must be finite, got {np.asarray(angles)}")
     src_radius = 2.0 * side
     fan_half = np.arcsin((side / np.sqrt(2.0)) / src_radius)
     out = np.empty((len(angles) * rays, 4))
@@ -248,15 +251,18 @@ def fan_beam_matrix(side, angles, rays):
 
     One row per ray of ``fan_beam_rays``; entry (ray, pixel) is the length of
     the ray's segment through that pixel, found by walking the grid crossings.
-    Returned as a ``SparseMatrix`` of (ray, pixel, length) triplets: a ray
-    crosses at most 2 * side pixels, so the dense matrix is never built.
+    The walk runs on one view's rays at a time, so its temporaries are bounded
+    by one view.  Returned as a ``SparseMatrix`` of (ray, pixel, length)
+    triplets: a ray crosses at most 2 * side pixels, so the dense matrix is
+    never built.
     """
     geometry = fan_beam_rays(side, angles, rays)
-    bounds = np.arange(side + 1, dtype=float) - side / 2.0
-    pixels, lengths = zip(*(_trace_ray(side, bounds, *ray) for ray in geometry))
-    rows = np.repeat(np.arange(len(pixels)), [p.size for p in pixels])
-    return SparseMatrix(len(pixels), side * side, rows,
-                        np.concatenate(pixels), np.concatenate(lengths))
+    views = []
+    for first in range(0, len(geometry), rays):
+        ray, pixel, length = _trace_rays(side, geometry[first:first + rays])
+        views.append((ray + first, pixel, length))
+    rows, pixels, lengths = (np.concatenate(part) for part in zip(*views))
+    return SparseMatrix(len(geometry), side * side, rows, pixels, lengths)
 
 
 def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,

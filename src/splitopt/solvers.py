@@ -185,7 +185,7 @@ class SolveTrace:
 def _check_gamma(problem, gamma):
     lip = problem.f.lipschitz
     if lip > 0 and not gamma < 2.0 / lip:
-        raise ConfigError(f"gamma={gamma} outside (0, 2/L) with L={lip:.6g}")
+        raise ConfigError(f"gamma={gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
 
 
 def _check_dual(problem, config):

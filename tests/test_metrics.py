@@ -38,6 +38,14 @@ class TestSnrNmsd:
         assert snr(x, rec) == snr(x.ravel(), rec.ravel())
         assert nmsd(x, rec) == nmsd(x.ravel(), rec.ravel())
 
+    @pytest.mark.parametrize("metric", [snr, nmsd])
+    @pytest.mark.parametrize("level, n", [(2.0, 5), (0.1, 3)], ids=["exact-mean", "rounded-mean"])
+    def test_constant_truth_rejected(self, metric, level, n):
+        # its deviation from its mean, the denominator of both metrics, is 0;
+        # or, where the mean rounds off 0.1, a few ulps of noise
+        with pytest.raises(ValueError, match="constant"):
+            metric(np.full(n, level), np.zeros(n))
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             snr(np.zeros(3), np.zeros(4))
@@ -80,6 +88,12 @@ class TestSsim:
         f = rng.uniform(0, 1, (6, 6))
         g = rng.uniform(0, 1, (6, 6))
         assert ssim_global(f, g, 1.0) == ssim_global(f.ravel(), g.ravel(), 1.0)
+
+    def test_constant_image_scored(self):
+        # SSIM needs no deviation norm, so a flat image is fine
+        f = np.full((3, 3), 0.5)
+        assert ssim_global(f, f, 1.0) == 1.0
+        assert 0.0 < ssim_global(f, np.eye(3), 1.0) < 1.0
 
     def test_rejects_bad_dynamic_range(self):
         # NaN and inf would give NaN for two identical images, not 1

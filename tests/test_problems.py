@@ -6,6 +6,7 @@ from splitopt.problems import (
     build_ct_problem,
     build_fused_lasso,
     build_lrtv_problem,
+    _trace_rays,
     fan_beam_matrix,
     fan_beam_rays,
     fused_lasso_signal,
@@ -27,6 +28,89 @@ def clip_segment_length(sx, sy, dx, dy, x_lo, x_hi, y_lo, y_hi):
                 ta, tb = tb, ta
             t0, t1 = max(t0, ta), min(t1, tb)
     return max(0.0, t1 - t0)
+
+
+def trace_ray_oracle(side, sx, sy, dx, dy):
+    """One ray's Siddon walk, a scalar at a time: the crossed pixels in
+    traversal order and the ray's length inside each."""
+    bounds = np.arange(side + 1, dtype=float) - side / 2.0
+    tmin, tmax = -np.inf, np.inf
+    for p, d in ((sx, dx), (sy, dy)):
+        if abs(d) < 1e-12:
+            if p < bounds[0] or p > bounds[-1]:
+                return np.empty(0, dtype=np.intp), np.empty(0)
+        else:
+            t0 = (bounds[0] - p) / d
+            t1 = (bounds[-1] - p) / d
+            if t0 > t1:
+                t0, t1 = t1, t0
+            tmin = max(tmin, t0)
+            tmax = min(tmax, t1)
+    if tmax <= tmin:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    ts = [np.array([tmin, tmax])]
+    for p, d in ((sx, dx), (sy, dy)):
+        if abs(d) >= 1e-12:
+            t = (bounds - p) / d
+            ts.append(t[(t > tmin) & (t < tmax)])
+    ts = np.unique(np.concatenate(ts))
+    lengths = np.diff(ts)
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    half = side / 2.0
+    cx = np.floor(sx + mids * dx + half).astype(int)
+    cy = np.floor(sy + mids * dy + half).astype(int)
+    ok = (cx >= 0) & (cx < side) & (cy >= 0) & (cy < side) & (lengths > 1e-12)
+    return cy[ok] * side + cx[ok], lengths[ok]
+
+
+def _random_geometry(side):
+    rng = np.random.default_rng(side)
+    return fan_beam_rays(side, rng.uniform(0.0, 2.0 * np.pi, 4), 2 * side + 1)
+
+
+_DIAGONAL = np.sqrt(0.5)
+# side 8, so the image is [-4, 4]^2
+_HAND_MADE_RAYS = np.array([
+    (0.5, -20.0, 0.0, 1.0),            # dx = 0 inside the image
+    (5.0, -20.0, 0.0, 1.0),            # dx = 0 outside it
+    (-20.0, 0.5, 1.0, 0.0),            # dy = 0 inside it
+    (0.5, -20.0, 1e-13, 1.0),          # |dx| = 1e-13, below the parallel threshold
+    (0.5, -20.0, -1e-13, 1.0),
+    (1.0, -20.0, 0.0, 1.0),            # along an inner grid line
+    (-4.0, -20.0, 0.0, 1.0),           # along the image's left edge
+    (4.0, 20.0, 0.0, -1.0),            # along its right edge, downwards
+    (-20.0, -20.0, _DIAGONAL, _DIAGONAL),  # a diagonal through grid corners
+    (20.0, 20.0, -_DIAGONAL, -_DIAGONAL),
+    (-20.0, 10.0, np.cos(0.1), np.sin(0.1)),  # misses the image
+    (-20.0, -3.0, np.cos(0.3), np.sin(0.3)),  # crosses it obliquely
+    (0.5, 0.25, 0.0, 1.0),             # dx = 0 from a source inside the image
+    (1.0 - 2e-12, -20.0, 1e-13, 1.0),  # |dx| = 1e-13 crossing x = 1 inside the image
+])
+
+
+class TestRayTracer:
+    @pytest.mark.parametrize("side, geometry", [
+        (64, fan_beam_rays(64, np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20), 96)),
+        *((side, _random_geometry(side)) for side in (16, 17, 64, 128)),
+        (8, _HAND_MADE_RAYS),
+    ], ids=["desk", "random-16", "random-17", "random-64", "random-128", "hand-made"])
+    def test_batch_matches_the_scalar_walk(self, side, geometry):
+        # the batched tracer runs the scalar walk's expressions elementwise,
+        # so its triplets are the walk's, bit for bit
+        pixels, lengths = zip(*(trace_ray_oracle(side, *ray) for ray in geometry))
+        rows, got_pixels, got_lengths = _trace_rays(side, geometry)
+        assert np.array_equal(rows, np.repeat(np.arange(len(geometry)), [p.size for p in pixels]))
+        assert np.array_equal(got_pixels, np.concatenate(pixels))
+        assert np.array_equal(got_lengths, np.concatenate(lengths))
+
+    def test_hand_made_rays(self):
+        # the oracle itself: the misses trace nothing, an axis-parallel ray
+        # inside the image crosses the 8 pixels of its column or row, and a
+        # diagonal through grid corners the 8 pixels of the diagonal, each once
+        pixels = [trace_ray_oracle(8, *ray)[0] for ray in _HAND_MADE_RAYS]
+        assert [p.size for p in pixels] == [8, 0, 8, 8, 8, 8, 8, 0, 8, 8, 0, 9, 8, 8]
+        assert np.array_equal(pixels[8], np.arange(8) * 9)
+        assert np.array_equal(pixels[9], np.arange(8)[::-1] * 9)
 
 
 class TestFusedLassoInstance:
@@ -177,6 +261,14 @@ class TestCtInstance:
     def test_rejects_non_integer_sizes(self, key, value):
         with pytest.raises(ValueError, match=key):
             build_ct_problem(**{"img_side": 16, "views": 2, "rays": 4, key: value})
+
+    @pytest.mark.parametrize("angles", [
+        [float("nan")], [0.3, float("nan")], [0.3, float("inf")],
+    ], ids=["nan", "finite-then-nan", "inf"])
+    def test_projector_rejects_non_finite_angles(self, angles):
+        # a NaN view traced to all-zero rows: rays that measure nothing
+        with pytest.raises(ValueError, match="angles must be finite"):
+            fan_beam_matrix(16, angles, 8)
 
     def test_projector_rejects_non_integer_side(self):
         # a float side is not truncated: 16.7 must not build a side-16, 256-column matrix

@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 import threading
 import time
@@ -293,6 +294,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="gamma"):
             solve_fb_dual(p, bad)
 
+    def test_gamma_message_shows_the_full_bound(self):
+        # rounded to 6 digits, L makes a gamma just past 2/L look admissible
+        p = small_lasso()
+        lip = p.f.lipschitz
+        bad = SolverConfig(gamma=2.0 / lip, lam=0.25, max_outer=1)
+        with pytest.raises(ConfigError, match=re.escape(f"= (0, {2.0 / lip}) with L={lip}")):
+            solve_fb_dual(p, bad)
+
     def test_lam_range_enforced(self):
         p = small_lasso()
         bad = SolverConfig(gamma=1.9 / p.f.lipschitz, lam=0.51)
@@ -408,6 +417,13 @@ class TestStoppingAndTrace:
         tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-8))
         assert tr.records[-1].snr is not None and tr.records[-1].nmsd is not None
         assert tr.records[-1].ssim is None  # no dynamic range
+
+    def test_constant_ground_truth_rejected_before_the_first_step(self, monkeypatch):
+        p = small_lasso()
+        p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=np.ones(p.dim))
+        monkeypatch.setattr(p.f, "gradient", lambda x: pytest.fail("a step was taken"))
+        with pytest.raises(ValueError, match="constant"):
+            solve_fb_dual(p, preset_config(p, "type-II"))
 
     def test_ssim_recorded_with_dynamic_range(self):
         # a ground truth and a dynamic range are all SSIM needs: it is taken over flat vectors
