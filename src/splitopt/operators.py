@@ -260,9 +260,12 @@ class BlurDownsample(LinearMap):
     """Separable Gaussian blur followed by block averaging over factor x factor
     blocks: the super-resolution forward map of a rows x cols image.
 
-    The blur kernel sums to one and its boundary extension is reflective, so
-    constant images are preserved exactly and the operator norm is <= 1.  The
-    blur matrices are materialized once per axis.  The adjoint is the exact
+    The blur kernel sums to one, and it and the reflective boundary extension
+    are symmetric, so each 1-d blur matrix is nonnegative with unit row and
+    column sums: its norm is 1 (Schur test), attained by constants.  Block
+    averaging has norm 1/factor, attained by a constant image too, so
+    ``norm_sq`` is exactly 1 / factor^2.  The blur matrices are materialized
+    once per axis.  The adjoint is the exact
     transpose, not an interpolator: it replicates each low-resolution pixel
     over its block, divides by factor^2 and applies the transposed blur.
     ``sigma = 0`` means no blur and ``factor = 1`` means no averaging.
@@ -290,6 +293,10 @@ class BlurDownsample(LinearMap):
         kernel = _gaussian_kernel(sigma)
         self._m_rows = _blur_matrix(rows, kernel)
         self._m_cols = _blur_matrix(cols, kernel)
+
+    @property
+    def norm_sq(self):
+        return 1.0 / self.factor**2
 
     def _apply(self, x):
         f = self.factor

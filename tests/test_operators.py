@@ -9,6 +9,8 @@ from splitopt.operators import (
     Gradient2D,
     Identity,
     SparseMatrix,
+    _blur_matrix,
+    _gaussian_kernel,
     estimate_norm,
 )
 from splitopt.problems import build_lrtv_problem
@@ -185,6 +187,18 @@ class TestBlurDownsample:
         with pytest.raises(ValueError, match="integer"):
             build_lrtv_problem(factor=2.5)
         assert BlurDownsample(8, 8, 1.0, np.int64(2)).out_dim == 16
+
+    def test_blur_matrices_doubly_stochastic(self):
+        # the premise of norm_sq = 1 / factor^2: each 1-d blur matrix is
+        # nonnegative with unit row and column sums, so ||M|| = 1; at sigma
+        # 3 and 5 the kernel radius (9, 15) exceeds the smaller sides
+        for n in (1, 2, 3, 5, 8, 13, 32, 64):
+            for sigma in (0.0, 0.3, 1.0, 1.7, 3.0, 5.0):
+                m = _blur_matrix(n, _gaussian_kernel(sigma))
+                assert (m >= 0).all(), (n, sigma)
+                for axis in (0, 1):
+                    dev = np.abs(m.sum(axis=axis) - 1.0).max()
+                    assert dev <= 1e-14, (n, sigma, axis, dev)
 
     def test_norm_at_most_one(self):
         # factor 1 is the pure blur
