@@ -75,7 +75,8 @@ class LinearMap:
 
 
 class DenseMatrix(LinearMap):
-    """Wrap an explicit matrix."""
+    """Wrap an explicit matrix; ``norm_sq`` is its largest singular value
+    squared, from one SVD on first use."""
 
     kind = "dense-matrix"
 
@@ -85,6 +86,10 @@ class DenseMatrix(LinearMap):
             raise ValueError("dense operator needs a 2-d array")
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
+
+    @functools.cached_property
+    def norm_sq(self):
+        return float(np.linalg.svd(self.matrix, compute_uv=False)[0]) ** 2
 
     def _apply(self, x):
         return self.matrix @ x

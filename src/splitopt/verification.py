@@ -220,6 +220,23 @@ def operator_suite(seed=0):
     results.append(("gradient-2d-spectral-constant", 7.9 <= est <= min(op.norm_sq, 8.0),
                     f"estimate {est:.6f}, norm_sq {op.norm_sq:.6f}"))
 
+    # the exact data-fit constants against the dense SVD: no blur, no
+    # averaging, and kernel radii (9, 6) wider than a side are covered
+    blurs = {f"{r}x{c},sigma={s},factor={f}": BlurDownsample(r, c, s, f)
+             for r, c, s, f in ((8, 8, 1.0, 2), (4, 6, 3.0, 2), (6, 6, 0.0, 3),
+                                (5, 7, 1.3, 1), (12, 8, 0.7, 4), (6, 4, 2.0, 1))}
+    matrices = {f"{m}x{n}": DenseMatrix(rng.standard_normal((m, n)))
+                for m, n in ((1, 1), (1, 7), (7, 1), (5, 7), (30, 20), (100, 200))}
+    for name, cases in (("blur-downsample-spectral-constant", blurs),
+                        ("dense-matrix-spectral-constant", matrices)):
+        rels = {}
+        for label, op in cases.items():
+            true = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0]) ** 2
+            rels[label] = abs(op.norm_sq - true) / true
+        worst = max(rels, key=rels.get)
+        results.append((name, rels[worst] <= 1e-12,
+                        f"norm_sq max rel err {rels[worst]:.2e} at {worst}"))
+
     return results
 
 

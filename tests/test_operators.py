@@ -212,6 +212,29 @@ class TestBlurDownsample:
         np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
 
 
+class TestExactDataFitConstants:
+    #: row name -> the operator class and its exact norm_sq
+    ROWS = {
+        "blur-downsample-spectral-constant": (BlurDownsample, lambda op: 1.0 / op.factor**2),
+        "dense-matrix-spectral-constant": (
+            DenseMatrix, lambda op: np.linalg.svd(op.matrix, compute_uv=False)[0] ** 2),
+    }
+
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_matches_dense_svd(self, operator_rows, row):
+        assert_row(operator_rows, row)
+
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_row_fails_for_a_value_1e6_too_low(self, monkeypatch, row):
+        # the row is the only check of the exact form, so show it can fail
+        cls, exact = self.ROWS[row]
+        monkeypatch.setattr(cls, "norm_sq", property(lambda op: exact(op) * (1 - 1e-6)))
+        rows = suite_rows(operator_suite)
+        assert not rows[row][0]
+        for other in self.ROWS.keys() - {row}:
+            assert_row(rows, other)
+
+
 class TestSparseMatrix:
     # (0, 1) appears twice; row 3 and column 3 are empty
     TRIPLETS = ([0, 2, 0, 1], [1, 0, 1, 2], [2.0, -1.0, 0.5, 4.0])
