@@ -42,9 +42,10 @@ class SplitProblem:
     ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
     step-size presets use where the experiment defines one; step-size
     conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
-    square root.  A solve records SNR and NMSD when ``ground_truth`` is set,
-    and rejects a constant one; it records SSIM too when ``dynamic_range``
-    is set.
+    square root.  ``ground_truth`` and ``x0``, when set, must have
+    ``B.in_dim`` entries.  A solve records SNR and NMSD when ``ground_truth``
+    is set, and rejects a constant one; it records SSIM too when
+    ``dynamic_range`` is set.
     """
 
     f: object
@@ -64,6 +65,11 @@ class SplitProblem:
                 f"smooth term domain {f_op.in_dim} does not match penalty "
                 f"operator domain {self.B.in_dim}"
             )
+        for name in ("ground_truth", "x0"):
+            value = getattr(self, name)
+            if value is not None and np.size(value) != self.B.in_dim:
+                raise ValueError(f"{name} has {np.size(value)} entries, "
+                                 f"not the operator domain's {self.B.in_dim}")
         g_shape = getattr(self.g, "shape", None)
         if g_shape is not None and g_shape[0] * g_shape[1] != self.B.in_dim:
             raise ValueError(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -360,3 +362,12 @@ class TestDimensionChain:
             SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
                          h=L1Norm(0.1), B=Gradient2D(4, 4))
 
+
+    @pytest.mark.parametrize("field", ["ground_truth", "x0"])
+    def test_wrong_length_vector_rejected(self, field):
+        # a 59-long vector for the 60-dim lasso; a 61-long one and an empty one too
+        p = build_fused_lasso(m=30, n=60)
+        for size in (59, 61, 0):
+            with pytest.raises(ValueError, match=f"{field}.*{size}.*60"):
+                dataclasses.replace(p, **{field: np.arange(float(size))})
+        dataclasses.replace(p, **{field: np.arange(60.0)})
