@@ -3,7 +3,8 @@
 SNR and NMSD compare against the deviation of the true signal from its own
 mean, so a reconstruction equal to that mean scores 0 dB.  The two are tied
 by snr = -20 log10(nmsd); an exact recovery gives nmsd = 0 and snr = +inf.
-Both are undefined for a constant true signal, which they reject.
+Both are undefined for a constant true signal, which they reject, as every
+metric rejects an empty one.
 All metrics flatten their inputs, so image arguments may be passed in any
 shape as long as both agree.
 
@@ -32,6 +33,8 @@ class _Signal:
 
     def __init__(self, x_true, dynamic_range=None):
         self.x = _flat(x_true)
+        if not self.x.size:
+            raise ValueError("the ground truth is empty")
         self.mean = self.x.mean()
         self.dev = self.x - self.mean
         self.var = np.mean(self.dev**2)

@@ -46,6 +46,11 @@ class TestSnrNmsd:
         with pytest.raises(ValueError, match="constant"):
             metric(np.full(n, level), np.zeros(n))
 
+    @pytest.mark.parametrize("metric", [snr, nmsd])
+    def test_empty_truth_rejected(self, metric):
+        with pytest.raises(ValueError, match="empty"):
+            metric([], [])
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             snr(np.zeros(3), np.zeros(4))
