@@ -64,8 +64,15 @@ class LinearMap:
 
     @functools.cached_property
     def norm_sq(self):
-        """||B||^2 by power iteration, computed once on first use; operators
-        with a closed form override it."""
+        """||B||^2 by power iteration, computed once on first use.
+
+        The estimate approaches the norm from below, so it is not certified.
+        ``Identity``, ``Difference1D``, ``Gradient2D`` and ``BlurDownsample``
+        override it with a closed form and ``DenseMatrix`` with its SVD.
+        ``SparseMatrix`` keeps it: a dense SVD of the CT projector takes
+        seconds, and no certified bound cheap enough for its set-up is in
+        place yet.  A user's operator keeps it for want of any structure.
+        """
         return estimate_norm(self) ** 2
 
     def to_dense(self):

@@ -17,9 +17,11 @@ single-loop form of the primal-dual three-operator scheme).
 
 Step-size conditions, checked against the problem before iterating:
 gamma in (0, 2/L); for dual inner solvers lam in (0, 2/lambda_max(B B^T));
-for primal-dual inner solvers sigma tau ||B||^2 < 1.  The spectral quantities
-come from ``B.norm_sq``: closed form for ``Identity``, ``Difference1D`` and
-``Gradient2D``, the power-iteration estimate for any other operator.
+for primal-dual inner solvers sigma tau ||B||^2 < 1.  L is ``f.op.norm_sq``
+for a least-squares f, and the spectral quantities of B come from
+``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
+``Gradient2D``, ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and
+user operators take the power-iteration estimate, which can be slightly low.
 
 Stopping: relative change ||x_{k+1} - x_k|| / max(||x_k||, 1e-30) <= eps,
 evaluated from the second computed iterate on.  Non-finite iterates or a
