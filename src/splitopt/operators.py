@@ -66,12 +66,11 @@ class LinearMap:
     def norm_sq(self):
         """||B||^2 by power iteration, computed once on first use.
 
-        The estimate approaches the norm from below, so it is not certified.
-        ``Identity``, ``Difference1D``, ``Gradient2D`` and ``BlurDownsample``
-        override it with a closed form and ``DenseMatrix`` with its SVD.
-        ``SparseMatrix`` keeps it: a dense SVD of the CT projector takes
-        seconds, and no certified bound cheap enough for its set-up is in
-        place yet.  A user's operator keeps it for want of any structure.
+        The estimate approaches the norm from below, so it is uncertified.
+        ``Identity``, ``Difference1D``, ``Gradient2D``, ``BlurDownsample``
+        (closed forms) and ``DenseMatrix`` (SVD) override it.  ``SparseMatrix``
+        keeps it until a certified bound is cheap enough for the CT set-up,
+        and a user's operator for want of known structure.
         """
         return estimate_norm(self) ** 2
 
@@ -277,9 +276,9 @@ class BlurDownsample(LinearMap):
     column sums: its norm is 1 (Schur test), attained by constants.  Block
     averaging has norm 1/factor, attained by a constant image too, so
     ``norm_sq`` is exactly 1 / factor^2.  The blur matrices are materialized
-    once per axis.  The adjoint is the exact
-    transpose, not an interpolator: it replicates each low-resolution pixel
-    over its block, divides by factor^2 and applies the transposed blur.
+    once per axis.  The adjoint is the exact transpose, not an interpolator:
+    it replicates each low-resolution pixel over its block, divides by
+    factor^2 and applies the transposed blur.
     ``sigma = 0`` means no blur and ``factor = 1`` means no averaging.
     """
 
