@@ -4,7 +4,9 @@ Every operator maps flat float vectors to flat float vectors and knows its
 domain/codomain dimensions.  Images are handled in flattened row-major form;
 the operator itself remembers the grid shape.  Operators are immutable after
 construction, and ``apply``/``adjoint_apply`` are pure, so instances can be
-shared freely across threads.
+shared freely across threads.  ``DenseMatrix`` keeps its matrix and
+``SparseMatrix`` its row-ordered triplets as given, so the caller must not
+change those arrays afterwards.
 """
 
 import functools
@@ -80,9 +82,18 @@ class LinearMap:
         return np.column_stack([self._apply(cols[:, j]) for j in range(self.in_dim)])
 
 
+def _reject_non_finite(kind, values, position):
+    # ``position(k)`` is the (row, col) of the k-th of the flat ``values``
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        shown = ", ".join(f"{values[k]} at {position(k)}" for k in bad[:3])
+        raise ValueError(f"{kind} entries must be finite, got {bad.size} that are not: "
+                         f"{shown}{', ...' if bad.size > 3 else ''}")
+
+
 class DenseMatrix(LinearMap):
-    """Wrap an explicit matrix; ``norm_sq`` is its largest singular value
-    squared, from one SVD on first use."""
+    """Wrap an explicit matrix of finite entries; ``norm_sq`` is its largest
+    singular value squared, from one SVD on first use."""
 
     kind = "dense-matrix"
 
@@ -91,6 +102,7 @@ class DenseMatrix(LinearMap):
         if m.ndim != 2:
             raise ValueError("dense operator needs a 2-d array")
         super().__init__(m.shape[1], m.shape[0])
+        _reject_non_finite(self.kind, m.ravel(), lambda k: divmod(int(k), m.shape[1]))
         self.matrix = m
 
     @functools.cached_property
@@ -104,12 +116,19 @@ class DenseMatrix(LinearMap):
         return self.matrix.T @ y
 
 
-def _segments(keys, others, values):
-    # the triplets stably sorted by ``keys``, with each non-empty key's first position
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], starts, others[order], values[order]
+def _segments(keys, bound, others, values):
+    # the triplets stably sorted by ``keys`` in [0, bound), with each non-empty
+    # key's first position; already sorted triplets are kept as given
+    if not (keys[1:] >= keys[:-1]).all():
+        # on keys of at most 16 bits numpy's stable sort is a radix sort
+        keys = keys.astype(np.min_scalar_type(bound - 1))
+        order = np.argsort(keys, kind="stable")
+        keys, others, values = keys[order], others[order], values[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts].astype(np.intp), starts, others, values
 
 
 def _segment_sums(size, segments, v):
@@ -124,10 +143,13 @@ def _segment_sums(size, segments, v):
 class SparseMatrix(LinearMap):
     """An out_dim x in_dim matrix given by (row, col, value) triplets.
 
-    Repeated (row, col) pairs add up.  The triplets are kept twice, stably
-    sorted by row and by column, with the start of each non-empty row and
+    Repeated (row, col) pairs add up, and every value must be finite.  The
+    triplets are kept twice, stably sorted by row and by column (a radix sort
+    on the narrowest unsigned key), with the start of each non-empty row and
     column, so ``apply`` and ``adjoint_apply`` are each one gather-multiply
-    and one segment sum.
+    and one segment sum.  Triplets already in row order, with ``intp``
+    indices and ``float64`` values, are kept as given, as read-only views of
+    the caller's arrays, which the caller must then not change.
     """
 
     kind = "sparse-matrix"
@@ -143,10 +165,14 @@ class SparseMatrix(LinearMap):
             if idx.size and not (np.issubdtype(idx.dtype, np.integer)
                                  and 0 <= idx.min() and idx.max() < bound):
                 raise ValueError(f"{name} indices must be integers in [0, {bound})")
-            index.append(idx.astype(np.intp))
+            index.append(idx.astype(np.intp, copy=False))
         rows, cols = index
-        self._by_row = _segments(rows, cols, values)
-        self._by_col = _segments(cols, rows, values)
+        _reject_non_finite(self.kind, values, lambda k: (int(rows[k]), int(cols[k])))
+        rows, cols, values = (a.view() for a in (rows, cols, values))
+        for a in (rows, cols, values):
+            a.flags.writeable = False
+        self._by_row = _segments(rows, self.out_dim, cols, values)
+        self._by_col = _segments(cols, self.in_dim, rows, values)
 
     def _apply(self, x):
         return _segment_sums(self.out_dim, self._by_row, x)

@@ -268,6 +268,7 @@ def fan_beam_matrix(side, angles, rays):
         ray, pixel, length = _trace_rays(side, geometry[first:first + rays])
         views.append((ray + first, pixel, length))
     rows, pixels, lengths = (np.concatenate(part) for part in zip(*views))
+    del views  # a second copy of the triplets, not needed while the matrix is built
     return SparseMatrix(len(geometry), side * side, rows, pixels, lengths)
 
 

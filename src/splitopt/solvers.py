@@ -315,8 +315,9 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None):
         x, y = state
         u = x - gamma * f.gradient(x)
         xb = x
+        tau_u = tau * u
         for _ in range(J):
-            xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau))
+            xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau))
             y = gamma * h.prox_conjugate(sigma / gamma, (y + sigma * B.apply(2.0 * xb_new - xb)) / gamma)
             xb = xb_new
         return (xb, y), xb
@@ -345,9 +346,9 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
         z, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
-        bu = B.apply(u)
+        s_bu = s * B.apply(u)
         for _ in range(J):
-            y = h.prox_conjugate(s, y - lam * B.apply(B.adjoint_apply(y)) + s * bu)
+            y = h.prox_conjugate(s, y - lam * B.apply(B.adjoint_apply(y)) + s_bu)
         z = z + (u - gamma * B.adjoint_apply(y)) - x
         return (z, y), x
 
@@ -371,8 +372,9 @@ def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
         z, v, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
+        tau_u = tau * u
         for _ in range(J):
-            v_new = (v - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau)
+            v_new = (v - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau)
             y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * v_new - v))
             v = v_new
         z = z + v - x

@@ -13,11 +13,33 @@ from splitopt.operators import (
     _gaussian_kernel,
     estimate_norm,
 )
-from splitopt.problems import build_lrtv_problem
+from splitopt.problems import _trace_rays, build_lrtv_problem, fan_beam_matrix, fan_beam_rays
 from splitopt.verification import _operator_library, operator_suite
 
 # the kinds of operator_suite's library, in order; parametrized tests index them
 KINDS = [op.kind for op in _operator_library(np.random.default_rng())]
+
+
+def segments_oracle(keys, others, values):
+    # the by-key layout as SparseMatrix first built it: a stable argsort of
+    # the intp keys and a permutation of every triplet, then each key's first
+    # position from a difference with -1 prepended
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], starts, others[order], values[order]
+
+
+def _desk_angles():
+    return np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20)
+
+
+def random_triplets(seed, size, sort_rows=False, dtype=np.intp):
+    # a 7 x 5 matrix's triplets; so few indices make (row, col) pairs repeat
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 7, size)
+    return ((np.sort(rows) if sort_rows else rows).astype(dtype),
+            rng.integers(0, 5, size).astype(dtype), rng.standard_normal(size))
 
 
 def explicit_difference_matrix(n):
@@ -263,6 +285,55 @@ class TestSparseMatrix:
     def test_rejects_bad_triplets(self, rows, cols, match):
         with pytest.raises(ValueError, match=match):
             SparseMatrix(4, 4, rows, cols, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN entry made norm_sq NaN, and the gamma < 2/L check passed silently
+        with pytest.raises(ValueError, match=rf"finite.*{bad} at \(2, 0\)"):
+            SparseMatrix(4, 4, [0, 2, 1], [1, 0, 2], [1.0, bad, 2.0])
+        with pytest.raises(ValueError, match=rf"finite.*{bad} at \(1, 2\)"):
+            DenseMatrix([[1.0, 0.0, 2.0], [0.0, 3.0, bad]])
+
+    @pytest.mark.parametrize("shape, triplets", [
+        ((3, 2), ([], [], [])),
+        ((4, 4), TRIPLETS),
+        *(((7, 5), random_triplets(seed, 40)) for seed in range(3)),
+        ((7, 5), random_triplets(3, 40, sort_rows=True)),
+        ((7, 5), random_triplets(4, 40, dtype=np.int32)),
+    ], ids=["empty", "hand-made", "random-0", "random-1", "random-2", "rows-sorted", "int32"])
+    def test_layouts_match_the_argsort_oracle(self, shape, triplets):
+        rows, cols, values = (np.asarray(t) for t in triplets)
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        op = SparseMatrix(*shape, *triplets)
+        expected = (segments_oracle(rows, cols, values.astype(float)),
+                    segments_oracle(cols, rows, values.astype(float)))
+        for got, want in zip((op._by_row, op._by_col), expected):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side, angles, rays", [
+        (64, _desk_angles(), 96),
+        *((side, np.random.default_rng(side).uniform(0.0, 2.0 * np.pi, 4), 2 * side + 1)
+          for side in (16, 17, 64, 128)),
+    ], ids=["desk", "random-16", "random-17", "random-64", "random-128"])
+    def test_projector_layouts_match_the_argsort_oracle(self, side, angles, rays):
+        # one batch over every ray traces the same triplets as fan_beam_matrix's per-view batches
+        rows, pixels, lengths = _trace_rays(side, fan_beam_rays(side, angles, rays))
+        op = fan_beam_matrix(side, angles, rays)
+        expected = (segments_oracle(rows, pixels, lengths), segments_oracle(pixels, rows, lengths))
+        for got, want in zip((op._by_row, op._by_col), expected):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_row_ordered_triplets_are_kept_as_given(self):
+        # documented: row-ordered intp/float64 triplets are not copied, so
+        # the caller must not change them; the operator's views are read-only
+        rows, cols, values = random_triplets(5, 40, sort_rows=True)
+        op = SparseMatrix(7, 5, rows, cols, values)
+        _, _, others, kept = op._by_row
+        assert np.shares_memory(others, cols) and np.shares_memory(kept, values)
+        assert not (others.flags.writeable or kept.flags.writeable)
+        assert cols.flags.writeable and values.flags.writeable
 
 
 class TestEstimateNorm:

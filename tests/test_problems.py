@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,20 @@ class TestProjector:
         for i in range(rays):
             expected = clip_segment_length(*geometry[i], -half, half, -half, half)
             assert a[i].sum() == pytest.approx(expected, abs=1e-9)
+
+    def test_build_peaks_below_twice_the_kept_layouts(self):
+        # the desk projector: what building it allocates at its peak, against
+        # the bytes of the two triplet layouts the finished matrix keeps
+        angles = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20)
+        fan_beam_matrix(16, angles[:2], 8)  # warm the imports and numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            a = fan_beam_matrix(64, angles, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(arr.nbytes for arr in (*a._by_row, *a._by_col))
+        assert peak <= 2 * kept, f"peak {peak} B is {peak / kept:.2f}x the kept {kept} B"
 
     def test_adjoint_identity(self):
         p = build_ct_problem(img_side=16, views=4, rays=12, seed=2)
