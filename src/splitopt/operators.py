@@ -144,10 +144,10 @@ class SparseMatrix(LinearMap):
     """An out_dim x in_dim matrix given by (row, col, value) triplets.
 
     Repeated (row, col) pairs add up, and every value must be finite.  The
-    triplets are kept twice, stably sorted by row and by column (a radix sort
-    on the narrowest unsigned key), with the start of each non-empty row and
-    column, so ``apply`` and ``adjoint_apply`` are each one gather-multiply
-    and one segment sum.  Triplets already in row order, with ``intp``
+    triplets are kept twice, stably sorted by row and by column (on keys of
+    the narrowest unsigned type, radix-sorted up to 16 bits), with the start
+    of each non-empty row and column, so ``apply`` and ``adjoint_apply`` are
+    each one gather-multiply and one segment sum.  Triplets already in row order, with ``intp``
     indices and ``float64`` values, are kept as given, as read-only views of
     the caller's arrays, which the caller must then not change.
     """
