@@ -30,8 +30,12 @@ def segments_oracle(keys, others, values):
     return keys[starts], starts, others[order], values[order]
 
 
-def _desk_angles():
-    return np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20)
+def assert_layouts_match_the_oracle(op, rows, cols, values):
+    # every array of both layouts, bit for bit and dtype for dtype
+    expected = segments_oracle(rows, cols, values), segments_oracle(cols, rows, values)
+    for got, want in zip((op._by_row, op._by_col), expected):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def random_triplets(seed, size, sort_rows=False, dtype=np.intp):
@@ -302,28 +306,20 @@ class TestSparseMatrix:
         ((7, 5), random_triplets(4, 40, dtype=np.int32)),
     ], ids=["empty", "hand-made", "random-0", "random-1", "random-2", "rows-sorted", "int32"])
     def test_layouts_match_the_argsort_oracle(self, shape, triplets):
-        rows, cols, values = (np.asarray(t) for t in triplets)
-        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
-        op = SparseMatrix(*shape, *triplets)
-        expected = (segments_oracle(rows, cols, values.astype(float)),
-                    segments_oracle(cols, rows, values.astype(float)))
-        for got, want in zip((op._by_row, op._by_col), expected):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        rows, cols, values = triplets
+        assert_layouts_match_the_oracle(
+            SparseMatrix(*shape, *triplets), np.asarray(rows).astype(np.intp),
+            np.asarray(cols).astype(np.intp), np.asarray(values, dtype=float))
 
     @pytest.mark.parametrize("side, angles, rays", [
-        (64, _desk_angles(), 96),
+        (64, np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20), 96),
         *((side, np.random.default_rng(side).uniform(0.0, 2.0 * np.pi, 4), 2 * side + 1)
           for side in (16, 17, 64, 128)),
     ], ids=["desk", "random-16", "random-17", "random-64", "random-128"])
     def test_projector_layouts_match_the_argsort_oracle(self, side, angles, rays):
         # one batch over every ray traces the same triplets as fan_beam_matrix's per-view batches
-        rows, pixels, lengths = _trace_rays(side, fan_beam_rays(side, angles, rays))
-        op = fan_beam_matrix(side, angles, rays)
-        expected = (segments_oracle(rows, pixels, lengths), segments_oracle(pixels, rows, lengths))
-        for got, want in zip((op._by_row, op._by_col), expected):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_layouts_match_the_oracle(fan_beam_matrix(side, angles, rays),
+                                        *_trace_rays(side, fan_beam_rays(side, angles, rays)))
 
     def test_row_ordered_triplets_are_kept_as_given(self):
         # documented: row-ordered intp/float64 triplets are not copied, so
