@@ -17,21 +17,22 @@ The environment variable SPLITOPT_OUTPUT_DIR overrides the output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
 3 verification failure; 4 unwritable output directory; 5 unknown solver id
-(decided before the instance is built); 6 invalid preset/solver pairing
-(missing or inadmissible step sizes).
+(decided before the instance is built); 6 invalid preset/solver pairing in
+a cell (decided for every cell before anything is written, so before 4).
 
-Each sweep cell (solver, inner-iteration count, tolerance) writes one trace
-CSV ``<experiment>_<solver>_J<j>_eps<eps>.csv`` under a per-preset
-subdirectory, plus one row in ``summary.csv``; the Iter column of the summary
-reads MAXITER when the solver hit its iteration cap without converging; a
-sweep removes any previous summary before its first cell.  Files are written
-atomically and reruns of the same config are byte-identical.
+Each sweep cell (preset, solver, inner-iteration count, tolerance) writes a
+trace CSV ``<experiment>_<solver>_J<j>_eps<eps>.csv`` in a per-preset
+subdirectory and a ``summary.csv`` row, whose Iter reads MAXITER when the
+solver hit its iteration cap without converging.  The old summary goes before
+the first cell, so a divergence (exit 2) stops a sweep part-way with the
+earlier cells' CSVs and no summary.  Writes are atomic, reruns byte-identical.
 """
 
 import argparse
 import configparser
 import dataclasses
 import inspect
+import itertools
 import os
 import sys
 import tempfile
@@ -39,7 +40,7 @@ import tempfile
 # the builders are module attributes that _EXPERIMENTS names
 from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem  # noqa: F401
 from .solvers import (PRESETS, SOLVERS, ConfigError, DivergenceError, SolverConfig,
-                      check_loop_control, preset_config)
+                      check_loop_control, check_steps, preset_config)
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -258,6 +259,21 @@ def cmd_run(args):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # every cell is checked before the output directory is touched
+    cells = []
+    for preset, solver_id, inner, eps in itertools.product(
+            cfg["presets"], cfg["solvers"], cfg["inner_iters"], cfg["eps"]):
+        label = f"{preset} {solver_id} J={inner} eps={eps:g}"
+        try:
+            solver_cfg = preset_config(problem, preset, inner_iters=inner, eps=eps,
+                                       max_outer=cfg["max_outer"],
+                                       **(cfg["custom"] if preset == "custom" else {}))
+            check_steps(solver_id, problem, solver_cfg)
+        except ConfigError as exc:
+            print(f"invalid preset/solver pairing in cell {label}: {exc}", file=sys.stderr)
+            return EXIT_BAD_PAIRING
+        cells.append((preset, solver_id, inner, eps, label, solver_cfg))
+
     out_dir = os.environ.get(ENV_OUTPUT_DIR) or cfg["output_dir"]
     summary_path = os.path.join(out_dir, "summary.csv")
     try:
@@ -273,35 +289,23 @@ def cmd_run(args):
         return EXIT_OUTPUT_DIR
 
     summary_lines = ["experiment,preset,solver,inner_iters,eps,iters,objective,nmsd,snr,ssim"]
-    for preset in cfg["presets"]:
+    for preset, solver_id, inner, eps, label, solver_cfg in cells:
+        try:
+            trace = SOLVERS[solver_id](problem, solver_cfg)
+        except DivergenceError as exc:
+            print(f"divergence: {exc}", file=sys.stderr)
+            return EXIT_DIVERGENCE
         preset_dir = os.path.join(out_dir, preset)
         os.makedirs(preset_dir, exist_ok=True)
-        for solver_id in cfg["solvers"]:
-            for inner in cfg["inner_iters"]:
-                for eps in cfg["eps"]:
-                    try:
-                        solver_cfg = preset_config(
-                            problem, preset, inner_iters=inner, eps=eps, max_outer=cfg["max_outer"],
-                            **(cfg["custom"] if preset == "custom" else {}),
-                        )
-                        trace = SOLVERS[solver_id](problem, solver_cfg)
-                    except ConfigError as exc:
-                        print(f"invalid preset/solver pairing for {solver_id!r}: {exc}",
-                              file=sys.stderr)
-                        return EXIT_BAD_PAIRING
-                    except DivergenceError as exc:
-                        print(f"divergence: {exc}", file=sys.stderr)
-                        return EXIT_DIVERGENCE
-                    fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
-                    _atomic_write(os.path.join(preset_dir, fname), _trace_csv(trace))
-                    last = trace.final_record
-                    iters = str(trace.total_outer) if trace.converged else "MAXITER"
-                    summary_lines.append(",".join([
-                        cfg["experiment"], preset, solver_id, str(inner), f"{eps:g}", iters,
-                        _fmt(last.objective), _fmt(last.nmsd), _fmt(last.snr), _fmt(last.ssim),
-                    ]))
-                    print(f"{preset} {solver_id} J={inner} eps={eps:g}: "
-                          f"iters={iters} objective={last.objective:.9g}")
+        fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
+        _atomic_write(os.path.join(preset_dir, fname), _trace_csv(trace))
+        last = trace.final_record
+        iters = str(trace.total_outer) if trace.converged else "MAXITER"
+        summary_lines.append(",".join([
+            cfg["experiment"], preset, solver_id, str(inner), f"{eps:g}", iters,
+            _fmt(last.objective), _fmt(last.nmsd), _fmt(last.snr), _fmt(last.ssim),
+        ]))
+        print(f"{label}: iters={iters} objective={last.objective:.9g}")
     _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     return EXIT_OK
 

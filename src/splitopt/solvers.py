@@ -15,11 +15,10 @@ provided as standalone implementations: ``solve_pdfp``, ``solve_condat_vu``,
 ``solve_pd3o``, ``solve_davis_yin``, and ``solve_tos_pd_single`` (the
 single-loop form of the primal-dual three-operator scheme).
 
-Step-size conditions, checked against the problem before iterating:
-gamma in (0, 2/L); for dual inner solvers lam in (0, 2/lambda_max(B B^T));
-for primal-dual inner solvers sigma tau ||B||^2 < 1.  L is ``f.op.norm_sq``
-for a least-squares f, and the spectral quantities of B come from
-``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
+Each solver's steps and step-size condition are one row of ``_TABLE``;
+``check_steps`` applies that row before the first step.  L is
+``f.op.norm_sq`` for a least-squares f, and the spectral quantities of B
+come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
 ``Gradient2D``, ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and
 user operators take the power-iteration estimate, which can be slightly low.
 
@@ -45,6 +44,7 @@ __all__ = [
     "ConfigError",
     "PRESETS",
     "check_loop_control",
+    "check_steps",
     "preset_config",
     "solve_fb_dual",
     "solve_fb_primal_dual",
@@ -92,12 +92,9 @@ def check_loop_control(name, value):
 
 @dataclass
 class SolverConfig:
-    """Step sizes and loop controls shared by all solvers.
-
-    ``lam`` drives the dual inner solvers, ``sigma``/``tau`` the primal-dual
-    ones; a config may carry both.  ``param_preset`` records the named step
-    rule the config was derived from, if any.
-    """
+    """Step sizes and loop controls shared by all solvers; a solver reads the
+    steps that its row of ``_TABLE`` lists.  ``param_preset`` records the
+    named step rule the config was derived from, if any."""
 
     gamma: float
     lam: float | None = None
@@ -123,8 +120,7 @@ def preset_config(problem, preset, **overrides):
 
     type-I:  lam = 1.9 / lambda_max(B B^T), sigma = 1 / ||B||^2, tau = 1.
     type-II: lam = 1 / lambda_max(B B^T),  sigma = tau = 1 / ||B||.
-    custom:  only the step sizes given in ``overrides``; a solver whose
-             steps are missing rejects the config.
+    custom:  only the step sizes given in ``overrides``.
 
     lambda_max(B B^T) is the problem's conventional ``b_lam_max`` when set,
     otherwise ``B.norm_sq``, and ||B|| is its square root; gamma defaults to
@@ -184,30 +180,44 @@ class SolveTrace:
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _check_gamma(problem, gamma):
+def check_steps(solver, problem, config):
+    """Raise ConfigError unless ``config`` carries the steps ``solver`` reads,
+    gamma in (0, 2/L) if it reads gamma, and they meet the condition in its
+    row of ``_TABLE`` (a message when not).  Return the problem's f, g, h, B."""
+    _, steps, condition = _TABLE[solver]
     lip = problem.f.lipschitz
-    if lip > 0 and not gamma < 2.0 / lip:
-        raise ConfigError(f"gamma={gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
+    if "gamma" in steps and lip > 0 and not config.gamma < 2.0 / lip:
+        raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
+    missing = [name for name in steps if getattr(config, name) is None]
+    if missing:
+        raise ConfigError(f"{solver} needs {' and '.join(missing)}")
+    message = condition(problem, config)
+    if message:
+        raise ConfigError(message)
+    return problem.f, problem.g, problem.h, problem.B
 
 
-def _check_dual(problem, config):
-    _check_gamma(problem, config.gamma)
-    if config.lam is None:
-        raise ConfigError("dual solver needs lam")
+def _lam_condition(problem, config):
     lam_max = problem.B.norm_sq
     if lam_max > 0 and not config.lam < 2.0 / lam_max:
-        raise ConfigError(
-            f"lam={config.lam} outside (0, 2/lambda_max) = (0, {2.0 / lam_max})"
-        )
+        return f"lam={config.lam} outside (0, 2/lambda_max) = (0, {2.0 / lam_max})"
 
 
-def _check_primal_dual(problem, config):
-    _check_gamma(problem, config.gamma)
-    if config.sigma is None or config.tau is None:
-        raise ConfigError("primal-dual solver needs sigma and tau")
+def _sigma_tau_condition(problem, config):
     product = config.sigma * config.tau * problem.B.norm_sq
     if product >= 1.0:
-        raise ConfigError(f"sigma*tau*||B||^2 = {product} must be < 1")
+        return f"sigma*tau*||B||^2 = {product} must be < 1"
+
+
+def _condat_vu_condition(problem, config):
+    margin = 1.0 / config.tau - config.sigma * problem.B.norm_sq
+    if not margin > problem.f.lipschitz / 2.0:
+        return f"1/tau - sigma ||B||^2 = {margin} must exceed L/2 = {problem.f.lipschitz / 2.0}"
+
+
+def _identity_condition(problem, config):
+    if not isinstance(problem.B, Identity):
+        return f"davis-yin requires B = identity, got {problem.B.kind}"
 
 
 def _start_state(problem, start):
@@ -278,8 +288,7 @@ def solve_fb_dual(problem, config, x0=None, y0=None):
     Inner:  y <- prox_{(lam/gamma) h*}( y + (lam/gamma) B prox_{gamma g}(u - gamma B^T y) )
     Update: x <- prox_{gamma g}(u - gamma B^T y)
     """
-    _check_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("fb-dual", problem, config)
     gamma, lam, J = config.gamma, config.lam, config.inner_iters
     s = lam / gamma
 
@@ -306,8 +315,7 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None):
     The inner variable xb warm-starts from x, which is its previous terminal
     value, and y from its own.
     """
-    _check_primal_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("fb-pd", problem, config)
     gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
     g_step = tau * gamma / (1.0 + tau)
 
@@ -337,8 +345,7 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
     Inner:  y <- prox_{(lam/gamma) h*}( (I - lam B B^T) y + (lam/gamma) B u )
     Update: z <- z + (u - gamma B^T y) - x
     """
-    _check_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("tos-dual", problem, config)
     gamma, lam, J = config.gamma, config.lam, config.inner_iters
     s = lam / gamma
 
@@ -364,8 +371,7 @@ def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
             y <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 v' - v) )
     Update: z <- z + v - x
     """
-    _check_primal_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("tos-pd", problem, config)
     gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
 
     def step(state):
@@ -394,8 +400,7 @@ def solve_pdfp(problem, config, x0=None, y0=None):
     y <- prox_{(lam/gamma) h*}(y + (lam/gamma) B v)
     x <- prox_{gamma g}(x - gamma grad f(x) - gamma B^T y)
     """
-    _check_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("pdfp", problem, config)
     gamma, lam = config.gamma, config.lam
     s = lam / gamma
 
@@ -411,21 +416,13 @@ def solve_pdfp(problem, config, x0=None, y0=None):
 
 
 def solve_condat_vu(problem, config, x0=None, y0=None):
-    """Single-loop primal-dual splitting with sigma = config.sigma and
-    tau = config.tau, which must satisfy 1/tau - sigma ||B||^2 > L/2.
+    """Single-loop primal-dual splitting with sigma = config.sigma and tau = config.tau.
 
     x <- prox_{tau g}(x - tau B^T y - tau grad f(x))
     y <- prox_{sigma h*}(y + sigma B (2 x' - x))
     """
-    if config.sigma is None or config.tau is None:
-        raise ConfigError("condat-vu needs sigma and tau")
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("condat-vu", problem, config)
     sigma, tau = config.sigma, config.tau
-    margin = 1.0 / tau - sigma * B.norm_sq
-    if not margin > f.lipschitz / 2.0:
-        raise ConfigError(
-            f"1/tau - sigma ||B||^2 = {margin} must exceed L/2 = {f.lipschitz / 2.0}"
-        )
 
     def step(state):
         x, y = state
@@ -443,8 +440,7 @@ def solve_pd3o(problem, config, z0=None, y0=None):
     y <- prox_{(lam/gamma) h*}( (I - lam B B^T) y + (lam/gamma) B (2x - z - gamma grad f(x)) )
     z <- x - gamma grad f(x) - gamma B^T y
     """
-    _check_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("pd3o", problem, config)
     gamma, lam = config.gamma, config.lam
     s = lam / gamma
 
@@ -468,10 +464,7 @@ def solve_davis_yin(problem, config, z0=None, y0=None):
     y <- prox_{(1/gamma) h*}( (2x - z - gamma grad f(x)) / gamma )
     z <- x - gamma grad f(x) - gamma y
     """
-    if not isinstance(problem.B, Identity):
-        raise ConfigError(f"davis-yin requires B = identity, got {problem.B.kind}")
-    _check_gamma(problem, config.gamma)
-    f, g, h = problem.f, problem.g, problem.h
+    f, g, h, _ = check_steps("davis-yin", problem, config)
     gamma = config.gamma
 
     def step(state):
@@ -495,8 +488,7 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
     y <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 v' - v) )
     z <- z + v' - x
     """
-    _check_primal_dual(problem, config)
-    f, g, h, B = problem.f, problem.g, problem.h, problem.B
+    f, g, h, B = check_steps("tos-pd-single", problem, config)
     gamma, sigma, tau = config.gamma, config.sigma, config.tau
 
     def step(state):
@@ -511,14 +503,18 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
     return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
-SOLVERS = {
-    "fb-dual": solve_fb_dual,
-    "fb-pd": solve_fb_primal_dual,
-    "tos-dual": solve_tos_dual,
-    "tos-pd": solve_tos_primal_dual,
-    "pdfp": solve_pdfp,
-    "condat-vu": solve_condat_vu,
-    "pd3o": solve_pd3o,
-    "davis-yin": solve_davis_yin,
-    "tos-pd-single": solve_tos_pd_single,
+#: solver id -> (solve function, the SolverConfig steps it reads, their condition)
+_TABLE = {
+    "fb-dual": (solve_fb_dual, ("gamma", "lam"), _lam_condition),
+    "fb-pd": (solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition),
+    "tos-dual": (solve_tos_dual, ("gamma", "lam"), _lam_condition),
+    "tos-pd": (solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition),
+    "pdfp": (solve_pdfp, ("gamma", "lam"), _lam_condition),
+    "condat-vu": (solve_condat_vu, ("sigma", "tau"), _condat_vu_condition),
+    "pd3o": (solve_pd3o, ("gamma", "lam"), _lam_condition),
+    "davis-yin": (solve_davis_yin, ("gamma",), _identity_condition),
+    "tos-pd-single": (solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition),
 }
+
+#: solver id -> solve function, looked up when a cell runs, so a replaced entry is honoured
+SOLVERS = {solver: solve for solver, (solve, _, _) in _TABLE.items()}

@@ -6,6 +6,7 @@ import stat
 import pytest
 
 from splitopt import cli
+from splitopt.solvers import DivergenceError
 
 TINY_CONFIG = """\
 [experiment]
@@ -236,15 +237,18 @@ class TestRun:
                      out / "type-II" / "fused-lasso_fb-dual_J1_eps0.0001.csv"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
-    def test_failed_sweep_leaves_no_stale_summary(self, tmp_path):
+    def test_failed_sweep_leaves_no_stale_summary(self, tmp_path, monkeypatch):
         out = tmp_path / "results"
         assert cli.main(["run", write_config(tmp_path, TINY_CONFIG.format(out=out))]) == 0
-        # sigma tau ||B||^2 >= 1: fb-dual runs, then tos-pd is refused
-        text = TINY_CONFIG.format(out=out).replace(
-            "presets = type-II", "presets = custom"
-        ) + "\n[custom]\nlambda = 0.25\nsigma = 0.3\ntau = 1.0\n"
-        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
-        assert (out / "custom" / "fused-lasso_fb-dual_J1_eps0.0001.csv").exists()
+
+        def diverge(problem, config, **kw):
+            raise DivergenceError("tos-pd", 1, "non-finite iterate")
+
+        # fb-dual runs, then tos-pd diverges: only a divergence stops a sweep part-way
+        monkeypatch.setitem(cli.SOLVERS, "tos-pd", diverge)
+        text = TINY_CONFIG.format(out=out).replace("eps = 1e-4", "eps = 1e-3")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_DIVERGENCE
+        assert (out / "type-II" / "fused-lasso_fb-dual_J1_eps0.001.csv").exists()
         assert not (out / "summary.csv").exists()
 
 
@@ -291,11 +295,43 @@ class TestExitCodes:
         text = TINY_CONFIG.format(out=blocker / "sub")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_OUTPUT_DIR
 
+    def test_bad_pairing_is_decided_before_the_output_directory(self, tmp_path):
+        # a directory that cannot be made and a cell davis-yin rejects: exit 6, not 4
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a plain file, not a directory")
+        text = TINY_CONFIG.format(out=blocker / "sub").replace("fb-dual, tos-pd", "davis-yin")
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+        assert blocker.read_text() == "a plain file, not a directory"
+
     def test_invalid_pairing_custom_without_sigma(self, tmp_path):
         text = TINY_CONFIG.format(out=tmp_path / "r").replace(
             "presets = type-II", "presets = custom"
         ) + "\n[custom]\nlambda = 0.25\n"
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+
+    @pytest.mark.parametrize("solvers, cell, reason", [
+        ("fb-dual, condat-vu", "type-II condat-vu J=1 eps=1e-06",
+         "1/tau - sigma ||B||^2 = "),
+        ("davis-yin", "type-II davis-yin J=1 eps=1e-06",
+         "davis-yin requires B = identity, got difference-1d"),
+    ], ids=["fb-dual-then-condat-vu", "davis-yin"])
+    def test_bad_pairing_leaves_the_output_directory_as_it_was(self, tmp_path, capsys,
+                                                               solvers, cell, reason):
+        out = tmp_path / "r"
+        valid = TINY_CONFIG.format(out=out).replace("max_outer = 4000", "max_outer = 50")
+        assert cli.main(["run", write_config(tmp_path, valid, "valid.ini")]) == 0
+
+        def snapshot():
+            return {path: path.is_dir() or read(path) for path in out.rglob("*")}
+
+        before = snapshot()
+        text = valid.replace("solvers = fb-dual, tos-pd", f"solvers = {solvers}").replace(
+            "eps = 1e-4", "eps = 1e-6")
+        capsys.readouterr()
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+        assert snapshot() == before
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid preset/solver pairing in cell {cell}: {reason}")
 
     def test_invalid_pairing_inadmissible_steps(self, tmp_path):
         # sigma tau ||B||^2 >= 1 must be rejected as a pairing error
@@ -323,11 +359,16 @@ class TestExitCodes:
         text = TINY_CONFIG.format(out=tmp_path / "r").replace("eps = 1e-4", "eps = nan")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
 
-    def test_nan_custom_step_is_a_pairing_error(self, tmp_path):
+    def test_nan_custom_step_is_a_pairing_error(self, tmp_path, capsys):
         text = TINY_CONFIG.format(out=tmp_path / "r").replace(
             "presets = type-II", "presets = custom"
         ) + "\n[custom]\nlambda = 0.25\nsigma = nan\ntau = 1.0\n"
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
+        # the message names the cell, not the solver alone
+        assert capsys.readouterr().err == ("invalid preset/solver pairing in cell custom fb-dual "
+                                           "J=1 eps=0.0001: sigma must be positive and finite, "
+                                           "got nan\n")
+        assert not (tmp_path / "r").exists()
 
     def test_non_numeric_custom_value(self, tmp_path, capsys):
         text = TINY_CONFIG.format(out=tmp_path / "r").replace(

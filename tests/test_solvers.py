@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 import sys
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from splitopt import operators
+from splitopt import operators, solvers
 from splitopt.operators import DenseMatrix, Identity, estimate_norm
 from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
@@ -17,6 +18,7 @@ from splitopt.solvers import (
     ConfigError,
     DivergenceError,
     SolverConfig,
+    check_steps,
     preset_config,
     solve_condat_vu,
     solve_davis_yin,
@@ -518,6 +520,24 @@ class TestStartState:
             assert all(np.array_equal(a, b) for a, b in zip(want.iterates, got.iterates))
             assert want.final_state.keys() == got.final_state.keys()
         assert np.array_equal(start, kept)
+
+
+class TestStepTable:
+    """Each solver reads exactly the steps its row of the solver table lists."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_listed_steps_suffice_and_each_is_required(self, name):
+        _, steps, _ = solvers._TABLE[name]
+        p = TestStartState._problem()  # B = I and L = 1: every solver applies
+        values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
+        c = SolverConfig(**{k: values[k] for k in ("gamma", *steps)}, eps=1e-16, max_outer=2)
+        assert SOLVERS[name](p, c).total_outer == 2  # an unlisted step would be None here
+        # gamma cannot be dropped: every SolverConfig carries it
+        for step in set(steps) - {"gamma"}:
+            dropped = dataclasses.replace(c, **{step: None})
+            for call in (SOLVERS[name], lambda *args: check_steps(name, *args)):
+                with pytest.raises(ConfigError, match=f"^{name} needs {step}$"):
+                    call(p, dropped)
 
 
 class TestDivergenceDetection:
