@@ -16,11 +16,9 @@ per iterate; the public functions are one-shot uses of the same code.
 
 import numpy as np
 
+from ._checks import finite, positive, vector
+
 __all__ = ["snr", "nmsd", "ssim_global"]
-
-
-def _flat(x):
-    return np.asarray(x, dtype=float).ravel()
 
 
 class _Signal:
@@ -32,7 +30,7 @@ class _Signal:
     """
 
     def __init__(self, x_true, dynamic_range=None):
-        self.x = _flat(x_true)
+        self.x = finite("ground truth", vector(x_true))
         if not self.x.size:
             raise ValueError("the ground truth is empty")
         self.mean = self.x.mean()
@@ -40,19 +38,12 @@ class _Signal:
         self.var = np.mean(self.dev**2)
         self.ssim_c = None
         if dynamic_range is not None:
-            if not 0 < dynamic_range < np.inf:  # negated, so that NaN fails too
-                raise ValueError(f"dynamic range must be positive and finite, got {dynamic_range}")
+            positive("dynamic range", dynamic_range)
             self.ssim_c = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
-
-    def _check(self, x_rec):
-        x_rec = _flat(x_rec)
-        if x_rec.size != self.x.size:
-            raise ValueError(f"size mismatch: {self.x.size} vs {x_rec.size}")
-        return x_rec
 
     def ssim(self, x_rec):
         c1, c2 = self.ssim_c
-        g = self._check(x_rec)
+        g = vector(x_rec, self.x.size, "reconstruction")
         mf, mg = self.mean, g.mean()
         dg = g - mg
         vg = np.mean(dg**2)
@@ -82,7 +73,7 @@ class Reference(_Signal):
 
     def error_norm(self, x_rec):
         """||x - x_r||, shared by ``nmsd`` and ``snr``."""
-        return np.linalg.norm(self.x - self._check(x_rec))
+        return np.linalg.norm(self.x - vector(x_rec, self.x.size, "reconstruction"))
 
     def nmsd(self, err):
         return float(err / self.dev_norm)

@@ -15,6 +15,8 @@ import numbers
 
 import numpy as np
 
+from ._checks import finite, integer, nonnegative, vector
+
 __all__ = [
     "LinearMap",
     "DenseMatrix",
@@ -46,17 +48,11 @@ class LinearMap:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
 
-    def _vector(self, v, size, method):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != size:
-            raise ValueError(f"{self.kind}: {method} expects a vector of length {size}, got {v.size}")
-        return v
-
     def apply(self, x):
-        return self._apply(self._vector(x, self.in_dim, "apply"))
+        return self._apply(vector(x, self.in_dim, f"{self.kind} apply input"))
 
     def adjoint_apply(self, y):
-        return self._adjoint(self._vector(y, self.out_dim, "adjoint_apply"))
+        return self._adjoint(vector(y, self.out_dim, f"{self.kind} adjoint_apply input"))
 
     def _apply(self, x):
         raise NotImplementedError
@@ -82,15 +78,6 @@ class LinearMap:
         return np.column_stack([self._apply(cols[:, j]) for j in range(self.in_dim)])
 
 
-def _reject_non_finite(kind, values, position):
-    # ``position(k)`` is the (row, col) of the k-th of the flat ``values``
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        shown = ", ".join(f"{values[k]} at {position(k)}" for k in bad[:3])
-        raise ValueError(f"{kind} entries must be finite, got {bad.size} that are not: "
-                         f"{shown}{', ...' if bad.size > 3 else ''}")
-
-
 class DenseMatrix(LinearMap):
     """Wrap an explicit matrix of finite entries; ``norm_sq`` is its largest
     singular value squared, from one SVD on first use."""
@@ -102,7 +89,7 @@ class DenseMatrix(LinearMap):
         if m.ndim != 2:
             raise ValueError("dense operator needs a 2-d array")
         super().__init__(m.shape[1], m.shape[0])
-        _reject_non_finite(self.kind, m.ravel(), lambda k: divmod(int(k), m.shape[1]))
+        finite(f"{self.kind} entries", m, lambda k: divmod(int(k), m.shape[1]))
         self.matrix = m
 
     @functools.cached_property
@@ -167,7 +154,7 @@ class SparseMatrix(LinearMap):
                 raise ValueError(f"{name} indices must be integers in [0, {bound})")
             index.append(idx.astype(np.intp, copy=False))
         rows, cols = index
-        _reject_non_finite(self.kind, values, lambda k: (int(rows[k]), int(cols[k])))
+        finite(f"{self.kind} entries", values, lambda k: (int(rows[k]), int(cols[k])))
         rows, cols, values = (a.view() for a in (rows, cols, values))
         for a in (rows, cols, values):
             a.flags.writeable = False
@@ -239,11 +226,10 @@ class Gradient2D(LinearMap):
     kind = "gradient-2d"
 
     def __init__(self, rows, cols):
-        if rows < 2 or cols < 2:
-            raise ValueError(f"gradient needs at least a 2x2 image, got {rows}x{cols}")
+        # first, so that a float side gets the "positive integers" message of every operator
         super().__init__(rows * cols, 2 * rows * cols)
-        self.rows = rows
-        self.cols = cols
+        self.rows = integer("rows", rows, 2)
+        self.cols = integer("cols", cols, 2)
 
     @property
     def norm_sq(self):
@@ -311,18 +297,13 @@ class BlurDownsample(LinearMap):
     kind = "blur-downsample"
 
     def __init__(self, rows, cols, sigma, factor):
-        if rows < 1 or cols < 1:
-            raise ValueError("blur needs a non-degenerate image")
-        sigma = float(sigma)
-        if not 0 <= sigma < np.inf:  # negated, so that NaN fails too
-            raise ValueError(f"blur_sigma must be nonnegative and finite, got {sigma}")
-        if not (isinstance(factor, numbers.Integral) and factor >= 1):  # numpy integers too
-            raise ValueError(f"downsampling factor must be an integer >= 1, got {factor}")
+        rows, cols = integer("rows", rows, 1), integer("cols", cols, 1)
+        sigma = nonnegative("blur_sigma", float(sigma))
+        factor = integer("downsampling factor", factor, 1)
         if rows % factor or cols % factor:
             raise ValueError(
                 f"image {rows}x{cols} is not divisible by the downsampling factor {factor}"
             )
-        factor = int(factor)
         super().__init__(rows * cols, (rows // factor) * (cols // factor))
         self.rows = rows
         self.cols = cols

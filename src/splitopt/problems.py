@@ -9,11 +9,11 @@ Noise arguments are variances; the standard deviation used is sqrt(noise_var).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, integer, nonnegative, positive, vector
 from .operators import (
     BlurDownsample,
     DenseMatrix,
@@ -39,13 +39,13 @@ __all__ = [
 class SplitProblem:
     """One instance of  min_x f(x) + g(x) + h(Bx).
 
-    ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
-    step-size presets use where the experiment defines one; step-size
-    conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
-    square root.  ``ground_truth`` and ``x0``, when set, must have
-    ``B.in_dim`` entries.  A solve records SNR and NMSD when ``ground_truth``
-    is set, and rejects a constant one; it records SSIM too when
-    ``dynamic_range`` is set.
+    ``b_lam_max`` is the conventional rounded lambda_max(B B^T), a positive
+    finite number, that the step-size presets use where the experiment
+    defines one; step-size conditions are checked against ``B.norm_sq``, and
+    ``exact_b_norm`` is its square root.  ``ground_truth`` and ``x0``, when
+    set, must have ``B.in_dim`` entries.  A solve records SNR and NMSD when
+    ``ground_truth`` is set, and rejects a constant or non-finite one; it
+    records SSIM too when ``dynamic_range`` is set.
     """
 
     f: object
@@ -66,10 +66,10 @@ class SplitProblem:
                 f"operator domain {self.B.in_dim}"
             )
         for name in ("ground_truth", "x0"):
-            value = getattr(self, name)
-            if value is not None and np.size(value) != self.B.in_dim:
-                raise ValueError(f"{name} has {np.size(value)} entries, "
-                                 f"not the operator domain's {self.B.in_dim}")
+            if getattr(self, name) is not None:
+                vector(getattr(self, name), self.B.in_dim, name)
+        if self.b_lam_max is not None:
+            positive("b_lam_max", self.b_lam_max)
         g_shape = getattr(self.g, "shape", None)
         if g_shape is not None and g_shape[0] * g_shape[1] != self.B.in_dim:
             raise ValueError(
@@ -98,9 +98,7 @@ _SIGNAL_BLOCKS = ((1, 20, 2.0), (41, 41, 3.0), (71, 85, 1.0), (121, 125, 2.0))
 
 def _gaussian_noise(rng, noise_var, size):
     # centered, of variance noise_var: one standard-normal draw of ``size``
-    if not 0 <= noise_var < np.inf:
-        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var}")
-    return np.sqrt(noise_var) * rng.standard_normal(size)
+    return np.sqrt(nonnegative("noise_var", noise_var)) * rng.standard_normal(size)
 
 
 def fused_lasso_signal(n):
@@ -131,8 +129,8 @@ def build_fused_lasso(m=100, n=200, mu1=0.2, mu2=0.8, noise_var=0.01, seed=0):
     benchmark tables are calibrated against; a variance of 0.1 lands near
     31 dB instead.
     """
-    if m < 1 or n < 2:
-        raise ValueError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    integer("m", m, 1)
+    integer("n", n, 2)
     rng = np.random.default_rng(seed)
     x_true = fused_lasso_signal(n)
     a = rng.standard_normal((m, n))
@@ -182,12 +180,6 @@ def shepp_logan(side):
     return np.maximum(img, 0.0)
 
 
-def _check_size(name, value, minimum):
-    # numpy integers pass; a float, even an integral one, or NaN does not
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
-
-
 def _trace_rays(side, geometry):
     # exact ray-grid intersection lengths (Siddon traversal) for a block of
     # (sx, sy, dx, dy) rows, as (row, pixel, length) triplets: each ray's
@@ -232,12 +224,11 @@ def fan_beam_rays(side, angles, rays):
     a circle of radius 2*side; each view fans ``rays`` unit-direction rays
     evenly over the arc subtending the circle circumscribing the image.
     """
-    _check_size("side", side, 2)
-    _check_size("rays", rays, 1)
+    integer("side", side, 2)
+    integer("rays", rays, 1)
     if len(angles) < 1:
         raise ValueError("degenerate scan geometry: no view angles")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"view angles must be finite, got {np.asarray(angles)}")
+    finite("view angles", angles)
     src_radius = 2.0 * side
     fan_half = np.arcsin((side / np.sqrt(2.0)) / src_radius)
     out = np.empty((len(angles) * rays, 4))
@@ -282,8 +273,8 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
     uniformly on [0, 2 pi), and b = A x_true + e with Gaussian noise of
     variance ``noise_var``.  Draw order: angles first, then e.
     """
-    _check_size("img_side", img_side, 16)
-    _check_size("views", views, 1)
+    integer("img_side", img_side, 16)
+    integer("views", views, 1)
     if tv_kind not in ("iso", "aniso"):
         raise ValueError(f"tv_kind must be 'iso' or 'aniso', got {tv_kind!r}")
     rng = np.random.default_rng(seed)

@@ -24,6 +24,8 @@ import numbers
 
 import numpy as np
 
+from ._checks import finite, nonnegative, positive, vector
+
 __all__ = [
     "ProxFunction",
     "L1Norm",
@@ -38,22 +40,6 @@ __all__ = [
 
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _positive(value, what):
-    if not 0 < value < np.inf:  # written so that NaN fails too
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return float(value)
-
-
-def _weight(value):
-    if not 0 <= value < np.inf:
-        raise ValueError(f"weight must be nonnegative and finite, got {value}")
-    return float(value)
-
-
-def _vector(v):
-    return np.asarray(v, dtype=float).ravel()
 
 
 class ProxFunction:
@@ -74,25 +60,25 @@ class ProxFunction:
 
     def prox(self, step, v):
         """prox_{step * f}(v), the exact minimizer of 0.5||x-v||^2 + step f(x)."""
-        return self._prox(_positive(step, "prox step"), _vector(v))
+        return self._prox(positive("prox step", step), vector(v))
 
     def prox_conjugate(self, step, v):
         """prox_{step * f*}(v), in closed form or via the Moreau decomposition."""
-        return self._prox_conjugate(_positive(step, "prox step"), _vector(v))
+        return self._prox_conjugate(positive("prox step", step), vector(v))
 
     def scaled_conjugate_prox(self, lam, v):
         """prox_{(lam * f)*}(v) = lam * prox_{f* / lam}(v / lam)."""
-        lam = _positive(lam, "scaling")
-        return lam * self._prox_conjugate(1.0 / lam, _vector(v) / lam)
+        lam = positive("scaling", lam)
+        return lam * self._prox_conjugate(1.0 / lam, vector(v) / lam)
 
     def envelope_gradient(self, lam, x):
         """Gradient (x - prox_{lam f}(x)) / lam of the Moreau envelope; (1/lam)-Lipschitz."""
-        lam, x = _positive(lam, "smoothing parameter"), _vector(x)
+        lam, x = positive("smoothing parameter", lam), vector(x)
         return (x - self._prox(lam, x)) / lam
 
     def envelope_value(self, lam, x):
         """inf_y f(y) + ||x - y||^2 / (2 lam), the infimum attained at the prox."""
-        lam, x = _positive(lam, "smoothing parameter"), _vector(x)
+        lam, x = positive("smoothing parameter", lam), vector(x)
         p = self._prox(lam, x)
         return float(self.value(p) + np.sum((x - p) ** 2) / (2.0 * lam))
 
@@ -104,7 +90,7 @@ class L1Norm(ProxFunction):
     kind = "l1"
 
     def __init__(self, weight):
-        self.weight = _weight(weight)
+        self.weight = nonnegative("weight", weight)
 
     def value(self, x):
         return self.weight * float(np.sum(np.abs(x)))
@@ -129,7 +115,7 @@ class GroupL21(ProxFunction):
     kind = "group-l21"
 
     def __init__(self, weight):
-        self.weight = _weight(weight)
+        self.weight = nonnegative("weight", weight)
 
     @staticmethod
     def _pairs(x):
@@ -141,7 +127,7 @@ class GroupL21(ProxFunction):
         return pairs, np.sqrt(a * a + b * b)
 
     def value(self, x):
-        _, norms = self._pairs(_vector(x))
+        _, norms = self._pairs(vector(x))
         return self.weight * float(np.sum(norms))
 
     def _prox(self, step, v):
@@ -201,7 +187,7 @@ class NuclearNorm(ProxFunction):
     kind = "nuclear"
 
     def __init__(self, weight, shape):
-        self.weight = _weight(weight)
+        self.weight = nonnegative("weight", weight)
         rows, cols = shape
         if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (rows, cols)):
             raise ValueError(f"matrix shape must be two integers >= 1, got {shape}")
@@ -209,14 +195,11 @@ class NuclearNorm(ProxFunction):
 
     def _as_matrix(self, x):
         rows, cols = self.shape
-        if x.size != rows * cols:
-            raise ValueError(
-                f"nuclear norm expects a flattened {rows}x{cols} matrix, got length {x.size}"
-            )
+        x = vector(x, rows * cols, f"nuclear norm input, a flattened {rows}x{cols} matrix,")
         return x.reshape(rows, cols)
 
     def value(self, x):
-        m = self._as_matrix(_vector(x))
+        m = self._as_matrix(vector(x))
         return self.weight * float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
     def _prox(self, step, v):
@@ -233,11 +216,11 @@ class QuadraticDistance(ProxFunction):
     kind = "quadratic-distance"
 
     def __init__(self, weight, center):
-        self.weight = _weight(weight)
-        self.center = _vector(center)
+        self.weight = nonnegative("weight", weight)
+        self.center = finite("center", vector(center))
 
     def value(self, x):
-        return 0.5 * self.weight * float(np.sum((_vector(x) - self.center) ** 2))
+        return 0.5 * self.weight * float(np.sum((vector(x) - self.center) ** 2))
 
     def _prox(self, step, v):
         tw = step * self.weight

@@ -6,6 +6,8 @@ the solvers read its ``value(x)``, ``gradient(x)`` and ``lipschitz`` (L).
 
 import numpy as np
 
+from ._checks import finite, integer, vector
+
 __all__ = ["LeastSquares", "ZeroSmooth"]
 
 
@@ -22,13 +24,8 @@ class LeastSquares:
     """
 
     def __init__(self, op, target):
-        target = np.asarray(target, dtype=float).ravel()
-        if target.size != op.out_dim:
-            raise ValueError(
-                f"target length {target.size} does not match operator codomain {op.out_dim}"
-            )
         self.op = op
-        self.target = target
+        self.target = finite("target", vector(target, op.out_dim, "target"))
         self._last = None  # (copy of the last point, its read-only residual)
 
     def _residual(self, x):
@@ -56,7 +53,7 @@ class ZeroSmooth:
     """The zero function; gradient 0 with Lipschitz constant 0."""
 
     def __init__(self, dim):
-        self.dim = int(dim)
+        self.dim = integer("dim", dim, 1)
 
     def value(self, x):
         return 0.0

@@ -28,11 +28,11 @@ evaluated from the second computed iterate on.  Non-finite iterates or a
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import finite, integer, positive, vector
 from .metrics import Reference
 from .operators import Identity
 
@@ -75,19 +75,13 @@ class DivergenceError(RuntimeError):
 PRESETS = ("type-I", "type-II", "custom")
 
 
-def _check_positive(name, value):
-    # negated, so that NaN fails too; an infinite step or tolerance cannot be iterated with
-    if not 0 < value < np.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
 def check_loop_control(name, value):
     """Raise ConfigError unless the loop control ``name`` has a valid ``value``:
-    ``eps`` must be positive and finite, ``inner_iters`` and ``max_outer`` integers >= 1."""
+    a positive finite ``eps``, and integers >= 1 for ``inner_iters`` and ``max_outer``."""
     if name == "eps":
-        _check_positive(name, value)
-    elif not (isinstance(value, numbers.Integral) and value >= 1):  # numpy integers too
-        raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+        positive(name, value, ConfigError)
+    else:
+        integer(name, value, 1, ConfigError)
 
 
 @dataclass
@@ -107,12 +101,13 @@ class SolverConfig:
     param_preset: str | None = None
 
     def __post_init__(self):
-        _check_positive("gamma", self.gamma)
+        # an infinite step or tolerance cannot be iterated with
+        positive("gamma", self.gamma, ConfigError)
         for name in ("inner_iters", "eps", "max_outer"):
             check_loop_control(name, getattr(self, name))
         for name in ("lam", "sigma", "tau"):
             if getattr(self, name) is not None:
-                _check_positive(name, getattr(self, name))
+                positive(name, getattr(self, name), ConfigError)
 
 
 def preset_config(problem, preset, **overrides):
@@ -225,15 +220,17 @@ def _start_state(problem, start):
 
     An omitted first key takes ``problem.x0``, else zeros; an omitted ``y``
     takes zeros in B's range; an omitted ``v`` takes a copy of the resolved
-    first key.
+    first key.  Each value must be finite and of its variable's length.
     """
     state = []
     for key, value in start:
-        if value is None and not state:
-            value = problem.x0 if problem.x0 is not None else np.zeros(problem.dim)
+        name = f"{key}0"
+        size = problem.B.out_dim if key == "y" else problem.dim
+        if value is None and not state and problem.x0 is not None:
+            name, value = "problem.x0", problem.x0
         elif value is None:
-            value = np.zeros(problem.B.out_dim) if key == "y" else state[0]
-        state.append(np.asarray(value, dtype=float).ravel().copy())
+            value = state[0] if state and key != "y" else np.zeros(size)
+        state.append(finite(name, vector(value, size, name)).copy())
     return tuple(state)
 
 

@@ -1,0 +1,79 @@
+"""The full message and exception type of every argument check, pinned.
+
+Each check lives in ``splitopt._checks``; this table calls it through the
+public entry point where the input enters.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from splitopt.metrics import snr, ssim_global
+from splitopt.operators import BlurDownsample, DenseMatrix, Difference1D, Gradient2D, SparseMatrix
+from splitopt.problems import build_ct_problem, build_fused_lasso, fan_beam_rays
+from splitopt.proxfuncs import L1Norm, NuclearNorm
+from splitopt.smooth import LeastSquares
+from splitopt.solvers import ConfigError, SolverConfig, check_loop_control
+
+NAN, INF = float("nan"), float("inf")
+
+#: case id -> (call, exception type, full message)
+CASES = {
+    "solver-config-gamma": (lambda: SolverConfig(gamma=NAN), ConfigError,
+                            "gamma must be positive and finite, got nan"),
+    "solver-config-max-outer": (lambda: SolverConfig(gamma=1.0, max_outer=3.5), ConfigError,
+                                "max_outer must be an integer >= 1, got 3.5"),
+    "loop-control-eps": (lambda: check_loop_control("eps", 0.0), ConfigError,
+                         "eps must be positive and finite, got 0.0"),
+    "prox-weight": (lambda: L1Norm(-1), ValueError,
+                    "weight must be nonnegative and finite, got -1"),
+    "prox-step": (lambda: L1Norm(1.0).prox(NAN, [0.0]), ValueError,
+                  "prox step must be positive and finite, got nan"),
+    "prox-scaling": (lambda: L1Norm(1.0).scaled_conjugate_prox(-1.0, [0.0]), ValueError,
+                     "scaling must be positive and finite, got -1.0"),
+    "prox-smoothing": (lambda: L1Norm(1.0).envelope_gradient(INF, [0.0]), ValueError,
+                       "smoothing parameter must be positive and finite, got inf"),
+    "blur-sigma": (lambda: BlurDownsample(8, 8, NAN, 2), ValueError,
+                   "blur_sigma must be nonnegative and finite, got nan"),
+    "blur-factor": (lambda: BlurDownsample(8, 8, 1.0, 2.5), ValueError,
+                    "downsampling factor must be an integer >= 1, got 2.5"),
+    "blur-rows": (lambda: BlurDownsample(0, 8, 1.0, 1), ValueError,
+                  "rows must be an integer >= 1, got 0"),
+    "gradient-rows": (lambda: Gradient2D(1, 4), ValueError,
+                      "rows must be an integer >= 2, got 1"),
+    "dynamic-range": (lambda: ssim_global(np.zeros(4), np.zeros(4), NAN), ValueError,
+                      "dynamic range must be positive and finite, got nan"),
+    "ct-views": (lambda: build_ct_problem(views=0), ValueError,
+                 "views must be an integer >= 1, got 0"),
+    "noise-var": (lambda: build_fused_lasso(noise_var=-1.0), ValueError,
+                  "noise_var must be nonnegative and finite, got -1.0"),
+    "projector-side": (lambda: fan_beam_rays(1, [0.0], 8), ValueError,
+                       "side must be an integer >= 2, got 1"),
+    "view-angles": (lambda: fan_beam_rays(16, [NAN], 8), ValueError,
+                    "view angles must be finite, got 1 that are not: nan at 0"),
+    "dense-entries": (lambda: DenseMatrix([[1.0, NAN]]), ValueError,
+                      "dense-matrix entries must be finite, got 1 that are not: nan at (0, 1)"),
+    "sparse-entries": (lambda: SparseMatrix(2, 2, [0, 1], [1, 0], [1.0, INF]), ValueError,
+                       "sparse-matrix entries must be finite, got 1 that are not: inf at (1, 0)"),
+    "apply-length": (lambda: Difference1D(15).apply(np.zeros(14)), ValueError,
+                     "difference-1d apply input has 14 entries, expected 15"),
+    "nuclear-length": (lambda: NuclearNorm(1.0, (2, 2)).prox(1.0, np.zeros(6)), ValueError,
+                       "nuclear norm input, a flattened 2x2 matrix, has 6 entries, expected 4"),
+    "reconstruction-length": (lambda: snr(np.arange(3.0), np.zeros(4)), ValueError,
+                              "reconstruction has 4 entries, expected 3"),
+    "target-length": (lambda: LeastSquares(Difference1D(4), np.zeros(4)), ValueError,
+                      "target has 4 entries, expected 3"),
+    "problem-x0-length": (
+        lambda: dataclasses.replace(build_fused_lasso(m=3, n=6), x0=np.zeros(5)), ValueError,
+        "x0 has 5 entries, expected 6"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_message(case):
+    call, error, message = CASES[case]
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -59,3 +59,12 @@ def test_no_unused_module_imports():
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(Path(__file__).parent.glob("*.py"))
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def test_argument_checks_live_in_one_module():
+    # each kind of check has one message, written in ``_checks`` alone
+    phrases = ("must be positive and finite", "must be nonnegative and finite",
+               "must be an integer >=")
+    hits = [f"{path.name}: {phrase}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "_checks.py" for phrase in phrases if phrase in path.read_text()]
+    assert hits == []

@@ -51,6 +51,14 @@ class TestSnrNmsd:
         with pytest.raises(ValueError, match="empty"):
             metric([], [])
 
+    @pytest.mark.parametrize("metric", [snr, nmsd, lambda f, g: ssim_global(f, g, 1.0)],
+                             ids=["snr", "nmsd", "ssim"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_truth_rejected(self, metric, bad):
+        # a NaN truth scored every reconstruction nan
+        with pytest.raises(ValueError, match=f"^ground truth must be finite, got 1 that are not: {bad} at 1$"):
+            metric([0.0, bad, 1.0], [0.0, 0.5, 1.0])
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             snr(np.zeros(3), np.zeros(4))

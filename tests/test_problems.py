@@ -149,6 +149,14 @@ class TestFusedLassoInstance:
         np.testing.assert_array_equal(p.f.target, a @ fused_lasso_signal(200) + np.sqrt(0.01) * e)
         assert p.b_lam_max == 4.0
 
+    @pytest.mark.parametrize("key, value, minimum", [
+        ("m", 2.5, 1), ("n", 3.0, 2), ("m", 0, 1), ("n", 1, 2),
+    ], ids=["m-2.5", "n-3.0", "m-0", "n-1"])
+    def test_rejects_non_integer_sizes(self, key, value, minimum):
+        # a float size reached numpy's standard_normal, which raised TypeError
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= {minimum}, got {value}$"):
+            build_fused_lasso(**{key: value})
+
     def test_same_seed_bit_identical(self):
         a = build_fused_lasso(seed=42)
         b = build_fused_lasso(seed=42)
@@ -376,6 +384,13 @@ class TestDimensionChain:
         with pytest.raises(ValueError, match="shape"):
             SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
                          h=L1Norm(0.1), B=Gradient2D(4, 4))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_step_constant_must_be_positive(self, value):
+        # preset_config divided by 0 or took the root of -1 with it
+        p = build_fused_lasso(m=30, n=60)
+        with pytest.raises(ValueError, match=f"^b_lam_max must be positive and finite, got {value}$"):
+            dataclasses.replace(p, b_lam_max=value)
 
 
     @pytest.mark.parametrize("field", ["ground_truth", "x0"])

@@ -81,6 +81,12 @@ class TestProxValues:
         tau = 0.7
         np.testing.assert_allclose(f.prox(tau, v), (v + tau * u) / (1 + tau), atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_quadratic_center_must_be_finite(self, bad):
+        # a NaN center was reported as a divergence at outer iteration 1
+        with pytest.raises(ValueError, match=f"^center must be finite, got 1 that are not: {bad} at 1$"):
+            QuadraticDistance(1.0, [0.0, bad])
+
     def test_box_clamp(self):
         out = BoxIndicator(-1.0, 2.0).prox(1.0, [-3.0, 0.5, 9.0])
         np.testing.assert_array_equal(out, [-1.0, 0.5, 2.0])

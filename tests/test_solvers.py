@@ -114,6 +114,17 @@ class TestSmoothFunctions:
         assert np.array_equal(f.gradient(np.ones(4)), np.zeros(4))
         assert f.lipschitz == 0.0
 
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5])
+    def test_zero_smooth_dimension_is_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {dim}$"):
+            ZeroSmooth(dim)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # it was reported as a divergence at outer iteration 1
+        with pytest.raises(ValueError, match=f"^target must be finite, got 1 that are not: {bad} at 2$"):
+            LeastSquares(Identity(4), [0.0, 1.0, bad, 3.0])
+
 
 class TestDegenerateReductions:
     def test_fb_dual_h_zero_is_one_gradient_step(self):
@@ -427,6 +438,16 @@ class TestStoppingAndTrace:
         with pytest.raises(ValueError, match="constant"):
             solve_fb_dual(p, preset_config(p, "type-II"))
 
+    def test_non_finite_ground_truth_rejected_before_the_first_step(self, monkeypatch):
+        # a NaN truth wrote snr = nan and nmsd = nan in every trace row
+        p = small_lasso()
+        truth = p.ground_truth.copy()
+        truth[5] = np.nan
+        p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=truth)
+        monkeypatch.setattr(p.f, "gradient", lambda x: pytest.fail("a step was taken"))
+        with pytest.raises(ValueError, match="^ground truth must be finite, got 1 that are not: nan at 5$"):
+            solve_fb_dual(p, preset_config(p, "type-II"))
+
     def test_ssim_recorded_with_dynamic_range(self):
         # a ground truth and a dynamic range are all SSIM needs: it is taken over flat vectors
         p = small_lasso()
@@ -520,6 +541,20 @@ class TestStartState:
             assert all(np.array_equal(a, b) for a, b in zip(want.iterates, got.iterates))
             assert want.final_state.keys() == got.final_state.keys()
         assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_non_finite_start_value_is_bad_input_not_divergence(self, name):
+        # each was reported as a DivergenceError at outer iteration 1
+        solve = SOLVERS[name]
+        keys = [k for k in inspect.signature(solve).parameters if k.endswith("0")]
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, max_outer=3)
+        bad = np.zeros(9)
+        bad[4] = np.inf
+        for key in keys:
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got 1 that are not: inf at 4$"):
+                solve(self._problem(), c, **{key: bad})
+        with pytest.raises(ValueError, match="^problem.x0 must be finite, got 1 that are not: inf at 4$"):
+            solve(self._problem(x0=bad), c)
 
 
 class TestStepTable:
