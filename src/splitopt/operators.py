@@ -219,6 +219,7 @@ class Gradient2D(LinearMap):
 
     Output is (horizontal differences, vertical differences), each padded with
     a zero in the last column/row, so the output length is 2 * rows * cols.
+    Both kernels work on flat row-major slices of the image and the output.
     D^T D is the Kronecker sum of the path Laplacians along the rows and the
     columns, so ``norm_sq`` is the sum of their largest eigenvalues, below 8.
     """
@@ -236,25 +237,24 @@ class Gradient2D(LinearMap):
         return _path_lambda_max(self.rows) + _path_lambda_max(self.cols)
 
     def _apply(self, x):
-        img = x.reshape(self.rows, self.cols)
-        out = np.empty((2, self.rows, self.cols))
-        h, v = out
-        np.subtract(img[:, 1:], img[:, :-1], out=h[:, :-1])
-        h[:, -1] = 0.0
-        np.subtract(img[1:, :], img[:-1, :], out=v[:-1, :])
-        v[-1, :] = 0.0
+        c = self.cols
+        h, v = out = np.empty((2, x.size))
+        with np.errstate(invalid="ignore", over="ignore"):  # the row-end wraps, zeroed next
+            np.subtract(x[1:], x[:-1], out=h[:-1])
+        h[c - 1::c] = 0.0
+        np.subtract(x[c:], x[:-c], out=v[:-c])
+        v[-c:] = 0.0
         return out.ravel()
 
     def _adjoint(self, y):
-        n = self.rows * self.cols
-        h = y[:n].reshape(self.rows, self.cols)
-        v = y[n:].reshape(self.rows, self.cols)
-        out = np.zeros((self.rows, self.cols))
-        out[:, :-1] -= h[:, :-1]
-        out[:, 1:] += h[:, :-1]
-        out[:-1, :] -= v[:-1, :]
-        out[1:, :] += v[:-1, :]
-        return out.ravel()
+        c, n = self.cols, self.in_dim
+        h, v = y[:n].copy(), y[n:-c]
+        h[c - 1::c] = 0.0
+        out = np.subtract(0.0, h)
+        out[1:] += h[:-1]
+        out[:-c] -= v
+        out[c:] += v
+        return out
 
 
 def _gaussian_kernel(sigma):

@@ -105,11 +105,12 @@ class L1Norm(ProxFunction):
 class GroupL21(ProxFunction):
     """weight * sum_i sqrt(y_i^2 + y_{n+i}^2) on stacked vectors of even length.
 
-    Entry i is paired with entry n+i, matching the layout of the stacked 2-d
-    gradient, so this is the isotropic total variation of the gradient image.
-    The prox shrinks each pair radially; the conjugate prox projects each pair
-    onto the disc of radius weight.  A pair entry above about 1.3e154 overflows
-    when squared: ``value`` then reads inf and ``prox_conjugate`` returns zeros.
+    Entry i is paired with entry n+i, the layout of the stacked 2-d gradient,
+    so this is the isotropic total variation of the gradient image.  The prox
+    shrinks each pair radially and the conjugate prox projects it onto the disc
+    of radius weight, both on the two flat halves, with the pair norms built in
+    place.  A pair entry above about 1.3e154 overflows when squared: ``value``
+    then reads inf and ``prox_conjugate`` returns zeros.
     """
 
     kind = "group-l21"
@@ -124,7 +125,9 @@ class GroupL21(ProxFunction):
             raise ValueError(f"grouped norm needs an even-length vector, got {x.size}")
         pairs = x.reshape(2, -1)
         a, b = pairs
-        return pairs, np.sqrt(a * a + b * b)
+        norms = a * a
+        norms += b * b
+        return pairs, np.sqrt(norms, out=norms)
 
     def value(self, x):
         _, norms = self._pairs(vector(x))
@@ -141,7 +144,8 @@ class GroupL21(ProxFunction):
         pairs, norms = self._pairs(v)
         if self.weight == 0.0:  # the disc is a point; w / max(0, 0) would be 0/0
             return np.zeros_like(v)
-        return (pairs * (self.weight / np.maximum(norms, self.weight))).ravel()
+        np.maximum(norms, self.weight, out=norms)
+        return (pairs * np.divide(self.weight, norms, out=norms)).ravel()
 
 
 class NonnegativeIndicator(ProxFunction):

@@ -1,16 +1,23 @@
 """The rows of the ``verify`` property suites at seed 3, shared by the unit
-tests and the acceptance criteria, so each property has one implementation.
+tests and the acceptance criteria, so each property has one implementation,
+and the helpers that compare a kernel with its oracle bit for bit.
 
 Every warning raised by a test in this directory is an error, so a 0/0 or an
 overflow in a vectorised kernel fails the suite instead of leaking a NaN."""
 
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splitopt.verification import equivalence_suite, operator_suite, prox_suite
 
 HERE = Path(__file__).parent
+
+#: image grids of the kernel oracle tests: the smallest, two with a side of
+#: 2, a prime width and the benchmark's
+GRID_SHAPES = [(2, 2), (2, 5), (5, 2), (3, 17), (64, 64)]
 
 
 def pytest_collection_modifyitems(items):
@@ -43,3 +50,27 @@ def operator_rows():
 @pytest.fixture(scope="session")
 def equivalence_rows():
     return suite_rows(equivalence_suite)
+
+
+def signed_zeros(rng, size, scale=1.0):
+    """``scale`` times normal draws, with about a quarter of the entries +0.0
+    and a quarter -0.0, so that sums and differences give zeros of both signs."""
+    x = scale * rng.standard_normal(size)
+    pick = rng.integers(0, 4, size)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, NaNs in the same places, and zeros of the same sign."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def raised_warnings(call, *args):
+    """The (category, message) of every warning that ``call(*args)`` raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(*args)
+    return {(w.category, str(w.message)) for w in caught}

@@ -1,6 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import assert_row, suite_rows
+from conftest import (
+    GRID_SHAPES,
+    assert_row,
+    assert_same_bits,
+    raised_warnings,
+    signed_zeros,
+    suite_rows,
+)
 
 from splitopt.operators import (
     BlurDownsample,
@@ -28,6 +37,33 @@ def segments_oracle(keys, others, values):
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], starts, others[order], values[order]
+
+
+def gradient_apply_oracle(rows, cols, x):
+    # Gradient2D._apply as first written: strided 2-d slices of the image,
+    # which never form a difference across a row end
+    img = x.reshape(rows, cols)
+    out = np.empty((2, rows, cols))
+    h, v = out
+    np.subtract(img[:, 1:], img[:, :-1], out=h[:, :-1])
+    h[:, -1] = 0.0
+    np.subtract(img[1:, :], img[:-1, :], out=v[:-1, :])
+    v[-1, :] = 0.0
+    return out.ravel()
+
+
+def gradient_adjoint_oracle(rows, cols, y):
+    # Gradient2D._adjoint as first written: four updates on 2-d slices
+    n = rows * cols
+    h = y[:n].reshape(rows, cols)
+    v = y[n:].reshape(rows, cols)
+    out = np.zeros((rows, cols))
+    out[:, :-1] -= h[:, :-1]
+    out[:, 1:] += h[:, :-1]
+    out[:-1, :] -= v[:-1, :]
+    out[1:, :] += v[:-1, :]
+    return out.ravel()
+
 
 
 def assert_layouts_match_the_oracle(op, rows, cols, values):
@@ -153,6 +189,50 @@ class TestGradient2D:
 
     def test_64_spectral_constant(self, operator_rows):
         assert_row(operator_rows, "gradient-2d-spectral-constant")
+
+    @pytest.mark.parametrize("rows, cols", GRID_SHAPES, ids=[f"{r}x{c}" for r, c in GRID_SHAPES])
+    def test_flat_kernels_match_the_2d_oracle(self, rows, cols):
+        op = Gradient2D(rows, cols)
+        rng = np.random.default_rng(rows * 100 + cols)
+        for scale in (1.0, 1e-300, 1e300):
+            x = signed_zeros(rng, op.in_dim, scale)
+            y = signed_zeros(rng, op.out_dim, scale)
+            assert_same_bits(op.apply(x), gradient_apply_oracle(rows, cols, x))
+            assert_same_bits(op.adjoint_apply(y), gradient_adjoint_oracle(rows, cols, y))
+
+    def test_no_warning_the_2d_oracle_does_not_raise(self):
+        # pixels (i, 3) and (i + 1, 0) of a 4x4 image are neighbours in the
+        # flat vector only; their difference is taken and then discarded
+        inf, big = np.inf, 1e308
+        images = {
+            "inf across a row end": {3: inf, 4: inf},
+            "-inf across a row end": {7: -inf, 8: -inf},
+            "overflow across a row end": {11: -big, 12: big},
+            "inf - inf within a row": {5: inf, 6: inf},
+            "overflow within a column": {1: big, 5: -big},
+            "nan": {9: np.nan},
+        }
+        op = Gradient2D(4, 4)
+        for label, entries in images.items():
+            x = np.zeros(16)
+            x[list(entries)] = list(entries.values())
+            new, old = raised_warnings(op.apply, x), raised_warnings(gradient_apply_oracle, 4, 4, x)
+            assert new <= old, label
+            if "row end" in label:
+                assert not new, label
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                np.testing.assert_array_equal(op.apply(x), gradient_apply_oracle(4, 4, x))
+            # the same entries in either half of the adjoint's input, also
+            # in the last column and row, which the adjoint never reads
+            for y in (np.concatenate([x, np.zeros(16)]), np.concatenate([np.zeros(16), x]),
+                      np.concatenate([x, x[::-1]])):
+                new = raised_warnings(op.adjoint_apply, y)
+                assert new <= raised_warnings(gradient_adjoint_oracle, 4, 4, y), label
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    np.testing.assert_array_equal(op.adjoint_apply(y),
+                                                  gradient_adjoint_oracle(4, 4, y))
 
     def test_closed_form_small(self):
         # lambda_max(D D^T) = 2 (2 + 2 cos(pi/n)) for an n x n grid

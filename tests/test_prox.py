@@ -1,6 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import assert_row, suite_rows
+from conftest import (
+    GRID_SHAPES,
+    assert_row,
+    assert_same_bits,
+    raised_warnings,
+    signed_zeros,
+    suite_rows,
+)
 
 from splitopt.proxfuncs import (
     BoxIndicator,
@@ -40,6 +49,33 @@ def refine_prox(step, v, penalty, rounds=8, width=6.0, pts=81):
         center = best
         width /= 8.0
     return center
+
+
+def group_l21_oracle(weight):
+    """GroupL21's ``value``, ``prox`` and ``prox_conjugate`` as first written:
+    each pair norm from one expression of fresh temporaries."""
+    def pairs(x):
+        p = x.reshape(2, -1)
+        a, b = p
+        return p, np.sqrt(a * a + b * b)
+
+    def value(x):
+        return weight * float(np.sum(pairs(x)[1]))
+
+    def prox(step, v):
+        p, norms = pairs(v)
+        scale = np.zeros_like(norms)
+        nz = norms > 0
+        scale[nz] = np.maximum(0.0, 1.0 - step * weight / norms[nz])
+        return (p * scale).ravel()
+
+    def prox_conjugate(step, v):
+        p, norms = pairs(v)
+        if weight == 0.0:
+            return np.zeros_like(v)
+        return (p * (weight / np.maximum(norms, weight))).ravel()
+
+    return value, prox, prox_conjugate
 
 
 class TestProxValues:
@@ -214,6 +250,34 @@ class TestConjugate:
         ref = f.prox_conjugate(1.0, v)
         for step in (1e-6, 0.37, 5.0, 1e6):
             np.testing.assert_array_equal(f.prox_conjugate(step, v), ref)
+
+    @pytest.mark.parametrize("rows, cols", GRID_SHAPES, ids=[f"{r}x{c}" for r, c in GRID_SHAPES])
+    def test_group_l21_matches_its_oracle(self, rows, cols):
+        # inputs the size of a rows x cols gradient; the weights put pairs on
+        # both sides of the conjugate's disc, or shrink the disc to a point
+        rng = np.random.default_rng(rows * 100 + cols)
+        for scale in (1.0, 1e-300, 1e150):
+            v = signed_zeros(rng, 2 * rows * cols, scale)
+            for weight in (0.0, 0.9 * scale, 1.5 * scale):
+                f, (value, prox, prox_conjugate) = GroupL21(weight), group_l21_oracle(weight)
+                assert_same_bits(f.value(v), value(v))
+                assert_same_bits(f.prox(0.7, v), prox(0.7, v))
+                assert_same_bits(f.prox_conjugate(0.7, v), prox_conjugate(0.7, v))
+
+    def test_group_l21_warns_as_its_oracle(self):
+        # overflowing squares, infinite and NaN pairs: the same warnings as
+        # the former code, and the same results
+        for entries in ({0: 1e200}, {1: np.inf}, {2: -np.inf, 6: np.inf}, {3: np.nan},
+                        {0: 1e200, 4: 1e200}):
+            v = np.full(8, 0.5)
+            v[list(entries)] = list(entries.values())
+            f, (value, prox, prox_conjugate) = GroupL21(0.9), group_l21_oracle(0.9)
+            for new, old, args in ((f.value, value, (v,)), (f.prox, prox, (0.7, v)),
+                                   (f.prox_conjugate, prox_conjugate, (0.7, v))):
+                assert raised_warnings(new, *args) == raised_warnings(old, *args), entries
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    np.testing.assert_array_equal(new(*args), old(*args))
 
     def test_group_conjugate_rejects_odd_length(self):
         with pytest.raises(ValueError, match="even-length"):
