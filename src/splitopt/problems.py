@@ -131,7 +131,7 @@ def build_fused_lasso(m=100, n=200, mu1=0.2, mu2=0.8, noise_var=0.01, seed=0):
     """
     integer("m", m, 1)
     integer("n", n, 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     x_true = fused_lasso_signal(n)
     a = rng.standard_normal((m, n))
     b = a @ x_true + _gaussian_noise(rng, noise_var, m)
@@ -277,7 +277,7 @@ def build_ct_problem(img_side=64, views=20, rays=96, mu=0.5, noise_var=0.01,
     integer("views", views, 1)
     if tv_kind not in ("iso", "aniso"):
         raise ValueError(f"tv_kind must be 'iso' or 'aniso', got {tv_kind!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     phantom = shepp_logan(img_side)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=views)
     a = fan_beam_matrix(img_side, angles, rays)
@@ -337,7 +337,7 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
     if not min(rows, cols) > 3 * factor:  # each profile's edge lies in [2 factor, n - factor)
         raise ValueError(f"rows and cols must exceed 3 * factor = {3 * factor}, "
                          f"got rows = {rows}, cols = {cols}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     x_img = _block_low_rank_image(rows, cols, factor, rng)
     t = forward.apply(x_img.ravel())
     t_img = t.reshape(rows // factor, cols // factor)

@@ -11,7 +11,12 @@ import pytest
 
 from splitopt.metrics import snr, ssim_global
 from splitopt.operators import BlurDownsample, DenseMatrix, Difference1D, Gradient2D, SparseMatrix
-from splitopt.problems import build_ct_problem, build_fused_lasso, fan_beam_rays
+from splitopt.problems import (
+    build_ct_problem,
+    build_fused_lasso,
+    build_lrtv_problem,
+    fan_beam_rays,
+)
 from splitopt.proxfuncs import L1Norm, NuclearNorm
 from splitopt.smooth import LeastSquares
 from splitopt.solvers import ConfigError, SolverConfig, check_loop_control
@@ -46,6 +51,12 @@ CASES = {
                       "dynamic range must be positive and finite, got nan"),
     "ct-views": (lambda: build_ct_problem(views=0), ValueError,
                  "views must be an integer >= 1, got 0"),
+    "fused-lasso-seed": (lambda: build_fused_lasso(seed=1.5), ValueError,
+                         "seed must be an integer >= 0, got 1.5"),
+    "ct-seed": (lambda: build_ct_problem(seed=-1), ValueError,
+                "seed must be an integer >= 0, got -1"),
+    "lrtv-seed": (lambda: build_lrtv_problem(seed=NAN), ValueError,
+                  "seed must be an integer >= 0, got nan"),
     "noise-var": (lambda: build_fused_lasso(noise_var=-1.0), ValueError,
                   "noise_var must be nonnegative and finite, got -1.0"),
     "projector-side": (lambda: fan_beam_rays(1, [0.0], 8), ValueError,
