@@ -15,7 +15,7 @@ from .operators import (
     SparseMatrix,
     estimate_norm,
 )
-from .problems import SplitProblem, build_fused_lasso
+from .problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from .proxfuncs import (
     BoxIndicator,
     GroupL21,
@@ -253,29 +253,32 @@ def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
 def equivalence_suite(seed=0):
     """The reduction identities: at one warm-started inner step the nested
     schemes are PDFP, Condat-Vu and PD3O, checked pointwise to 1e-12 over
-    200 iterations of a small instance."""
-    iters = 200
-    p = build_fused_lasso(m=30, n=60, seed=seed)
-    gamma = 1.9 / p.f.lipschitz
-    sigma, tau, lam = 0.25, 1.0, 0.25
+    200 iterations of a small instance of each family.  The CT and lrtv-sr
+    rows carry their family's tag and take lam = sigma = 0.9 / ||B||^2."""
+    iters, tau = 200, 1.0
+    results = []
+    for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),
+                   (" [ct]", build_ct_problem(img_side=16, views=6, rays=24, seed=seed)),
+                   (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
+        gamma = 1.9 / p.f.lipschitz
+        step = 0.9 / p.B.norm_sq if tag else 0.25
 
-    def cfg(**kw):
-        return SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True, **kw)
-
-    results = [
-        _identity_row("fb-dual(J=1,warm) == pdfp", solve_fb_dual(p, cfg(lam=lam)),
-                      solve_pdfp(p, cfg(lam=lam)), iters),
-        _identity_row("tos-dual(J=1) == pd3o", solve_tos_dual(p, cfg(lam=lam)),
-                      solve_pd3o(p, cfg(lam=lam)), iters),
-        _identity_row("tos-pd(J=1) == tos-pd-single",
-                      solve_tos_primal_dual(p, cfg(sigma=sigma, tau=tau)),
-                      solve_tos_pd_single(p, cfg(sigma=sigma, tau=tau)), iters),
-        # Condat-Vu's steps are sigma' = sigma/gamma, tau' = tau gamma/(1+tau)
-        _identity_row("fb-pd(J=1) == condat-vu(reparameterized)",
-                      solve_fb_primal_dual(p, cfg(sigma=sigma, tau=tau)),
-                      solve_condat_vu(p, cfg(sigma=sigma / gamma, tau=tau * gamma / (1 + tau))),
-                      iters),
-    ]
+        def cfg(**kw):
+            return SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True, **kw)
+        results += [
+            _identity_row("fb-dual(J=1,warm) == pdfp" + tag, solve_fb_dual(p, cfg(lam=step)),
+                          solve_pdfp(p, cfg(lam=step)), iters),
+            _identity_row("tos-dual(J=1) == pd3o" + tag, solve_tos_dual(p, cfg(lam=step)),
+                          solve_pd3o(p, cfg(lam=step)), iters),
+            _identity_row("tos-pd(J=1) == tos-pd-single" + tag,
+                          solve_tos_primal_dual(p, cfg(sigma=step, tau=tau)),
+                          solve_tos_pd_single(p, cfg(sigma=step, tau=tau)), iters),
+            # Condat-Vu's steps are sigma' = sigma/gamma, tau' = tau gamma/(1+tau)
+            _identity_row("fb-pd(J=1) == condat-vu(reparameterized)" + tag,
+                          solve_fb_primal_dual(p, cfg(sigma=step, tau=tau)),
+                          solve_condat_vu(p, cfg(sigma=step / gamma, tau=tau * gamma / (1 + tau))),
+                          iters),
+        ]
 
     rng = np.random.default_rng(seed + 1)
     a = rng.standard_normal((30, 40))
@@ -296,7 +299,7 @@ def equivalence_suite(seed=0):
     x0 = np.linalg.lstsq(p0.f.op.matrix, p0.f.target, rcond=None)[0]
     y0 = np.zeros(p0.B.out_dim)
     z0 = x0 - g0 * p0.f.gradient(x0) - g0 * p0.B.adjoint_apply(y0)
-    c0 = SolverConfig(gamma=g0, lam=lam, eps=1e-16, max_outer=iters + 1, record_iterates=True)
+    c0 = SolverConfig(gamma=g0, lam=0.25, eps=1e-16, max_outer=iters + 1, record_iterates=True)
     results.append(_identity_row("pdfp == pd3o (x-iterates, matched start)",
                                  solve_pdfp(p0, c0, x0=x0, y0=y0),
                                  solve_pd3o(p0, c0, z0=z0, y0=y0), iters + 1, skip_b=1))

@@ -67,8 +67,8 @@ def test_criterion_1_identity_suite():
     t0 = time.monotonic()
     results = equivalence_suite(seed=3)
     elapsed = time.monotonic() - t0
-    ok = all(passed for _, passed, _ in results) and len(results) == 6 and elapsed < 10.0
-    detail = (f"six reduction identities below 1e-12 over >=200 iterations "
+    ok = all(passed for _, passed, _ in results) and len(results) == 14 and elapsed < 10.0
+    detail = (f"fourteen reduction identities below 1e-12 over >=200 iterations "
               f"({'; '.join(d for _, _, d in results)}), {elapsed:.1f}s")
     report(1, ok, detail)
 

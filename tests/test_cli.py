@@ -451,7 +451,7 @@ class TestVerify:
     def test_equivalence_suite_passes(self, capsys):
         assert cli.main(["verify", "equivalence"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6 and "FAIL" not in out
+        assert out.count("PASS") == 14 and "FAIL" not in out
 
     def test_prox_suite_passes_within_budget(self, capsys):
         import time

@@ -1,10 +1,12 @@
 """Pointwise trajectory identities between the nested schemes at one inner
 iteration and their single-loop counterparts, each read from its row of
-``equivalence_suite``."""
+``equivalence_suite``: on the fused lasso, and the four J = 1 rows again on
+the CT and lrtv-sr families, whose rows carry the family's tag."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from conftest import assert_row
 
 from splitopt.verification import _identity_row
@@ -32,6 +34,29 @@ def test_pd3o_identity_operator_is_davis_yin(equivalence_rows):
 
 def test_pdfp_matches_pd3o_x_iterates(equivalence_rows):
     assert_row(equivalence_rows, "pdfp == pd3o (x-iterates, matched start)")
+
+
+FAMILIES = ["ct", "lrtv-sr"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fb_dual_one_inner_step_is_pdfp_on_family(equivalence_rows, family):
+    assert_row(equivalence_rows, f"fb-dual(J=1,warm) == pdfp [{family}]")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tos_dual_one_inner_step_is_pd3o_on_family(equivalence_rows, family):
+    assert_row(equivalence_rows, f"tos-dual(J=1) == pd3o [{family}]")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tos_pd_one_inner_step_is_single_loop_on_family(equivalence_rows, family):
+    assert_row(equivalence_rows, f"tos-pd(J=1) == tos-pd-single [{family}]")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fb_pd_one_inner_step_is_condat_vu_on_family(equivalence_rows, family):
+    assert_row(equivalence_rows, f"fb-pd(J=1) == condat-vu(reparameterized) [{family}]")
 
 
 def test_short_trajectory_fails_its_row():
