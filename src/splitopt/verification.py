@@ -261,7 +261,7 @@ def equivalence_suite(seed=0):
                    (" [ct]", build_ct_problem(img_side=16, views=6, rays=24, seed=seed)),
                    (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
         gamma = 1.9 / p.f.lipschitz
-        step = 0.9 / p.B.norm_sq if tag else 0.25
+        step = 0.9 / p.B.norm_sq if tag else 0.25  # the lasso rows keep their steps
 
         def cfg(**kw):
             return SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True, **kw)

@@ -65,7 +65,6 @@ def gradient_adjoint_oracle(rows, cols, y):
     return out.ravel()
 
 
-
 def assert_layouts_match_the_oracle(op, rows, cols, values):
     # every array of both layouts, bit for bit and dtype for dtype
     expected = segments_oracle(rows, cols, values), segments_oracle(cols, rows, values)
@@ -208,6 +207,8 @@ class TestGradient2D:
             "inf across a row end": {3: inf, 4: inf},
             "-inf across a row end": {7: -inf, 8: -inf},
             "overflow across a row end": {11: -big, 12: big},
+            # the oracle warns here and the flat kernel does not: the whole
+            # horizontal subtract runs under errstate
             "inf - inf within a row": {5: inf, 6: inf},
             "overflow within a column": {1: big, 5: -big},
             "nan": {9: np.nan},
