@@ -3,26 +3,23 @@
 #
 # Usage: tools/same_bits.sh [REF]        (REF defaults to HEAD)
 #
-# REF is checked out as a temporary git worktree.  In each tree the script
-# runs `splitopt print-default-config` and `splitopt run` for the three
-# experiments, then `splitopt verify all`, with OPENBLAS_NUM_THREADS=1 so
-# that BLAS keeps one summation order.  Configs, trace CSVs, summaries,
-# stdout, stderr and exit codes go to a temporary directory per tree.  The
-# script prints `diff -r` of the two directories, exits 1 when they differ,
-# and removes the worktree and the temporary directories.  The two trees run
-# side by side; on a 2-core machine the whole check takes about 40 s.
+# REF is extracted with `git archive` into a temporary directory, so nothing
+# is written under .git.  In each tree the script runs `splitopt
+# print-default-config` and `splitopt run` for the three experiments, then
+# `splitopt verify all`, with OPENBLAS_NUM_THREADS=1 so that BLAS keeps one
+# summation order.  Configs, trace CSVs, summaries, stdout, stderr and exit
+# codes go to a temporary directory per tree.  The script prints `diff -r` of
+# the two directories, exits 1 when they differ, and removes the temporary
+# directories.  The two trees run side by side; on a 2-core machine the whole
+# check takes about 40 s.
 set -euo pipefail
 
 ref=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-    git -C "$root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 export OPENBLAS_NUM_THREADS=1
 
