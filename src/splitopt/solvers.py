@@ -306,7 +306,7 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None):
 
     Outer:  u = x - gamma grad f(x)
     Inner:  xb <- prox_{tau gamma/(1+tau) g}( (xb - tau B^T y + tau u) / (1+tau) )
-            y  <- gamma prox_{(sigma/gamma) h*}( (y + sigma B (2 xb' - xb)) / gamma )
+            y  <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 xb' - xb) )
     Update: x <- xb
 
     The inner variable xb warm-starts from x, which is its previous terminal
@@ -323,7 +323,7 @@ def solve_fb_primal_dual(problem, config, x0=None, y0=None):
         tau_u = tau * u
         for _ in range(J):
             xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau))
-            y = gamma * h.prox_conjugate(sigma / gamma, (y + sigma * B.apply(2.0 * xb_new - xb)) / gamma)
+            y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * xb_new - xb))
             xb = xb_new
         return (xb, y), xb
 
@@ -339,7 +339,7 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
     forward-backward iterations on its dual.
 
     x = prox_{gamma g}(z);  u = 2x - z - gamma grad f(x)
-    Inner:  y <- prox_{(lam/gamma) h*}( (I - lam B B^T) y + (lam/gamma) B u )
+    Inner:  y <- prox_{(lam/gamma) h*}( y + (lam/gamma) B (u - gamma B^T y) )
     Update: z <- z + (u - gamma B^T y) - x
     """
     f, g, h, B = check_steps("tos-dual", problem, config)
@@ -350,9 +350,8 @@ def solve_tos_dual(problem, config, z0=None, y0=None):
         z, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
-        s_bu = s * B.apply(u)
         for _ in range(J):
-            y = h.prox_conjugate(s, y - lam * B.apply(B.adjoint_apply(y)) + s_bu)
+            y = h.prox_conjugate(s, y + s * B.apply(u - gamma * B.adjoint_apply(y)))
         z = z + (u - gamma * B.adjoint_apply(y)) - x
         return (z, y), x
 

@@ -631,7 +631,7 @@ class TestCallCounts:
     PER_ITER = {
         "fb-dual": (1, 1, 4, 4, 4, 3),
         "fb-pd": (1, 1, 4, 3, 3, 3),
-        "tos-dual": (1, 1, 5, 4, 1, 3),
+        "tos-dual": (1, 1, 4, 4, 1, 3),
         "tos-pd": (1, 1, 4, 3, 1, 3),
         "pdfp": (1, 1, 2, 2, 2, 1),
         "pd3o": (1, 1, 3, 2, 1, 1),
