@@ -1,19 +1,22 @@
 """Splitting solvers for  min_x f(x) + g(x) + h(Bx).
 
-Two outer schemes are implemented, each with a dual and a primal-dual inner
-solver for the prox subproblem it cannot evaluate in closed form:
+The four nested schemes are two outer loops times two inner solvers:
 
-* forward-backward outer loop (prox of g + h o B needed):
-  ``solve_fb_dual`` and ``solve_fb_primal_dual``;
-* three-operator outer loop with shadow variable z (prox of h o B needed):
-  ``solve_tos_dual`` and ``solve_tos_primal_dual``.
+                     dual inner        primal-dual inner
+  forward-backward   solve_fb_dual     solve_fb_primal_dual
+  three-operator     solve_tos_dual    solve_tos_primal_dual
 
-Each inner loop runs a fixed number of iterations ``inner_iters`` and always
-warm-starts from its previous terminal value.  With one inner iteration the
-four nested schemes collapse to known single-loop algorithms, which are also
-provided as standalone implementations: ``solve_pdfp``, ``solve_condat_vu``,
-``solve_pd3o``, ``solve_davis_yin``, and ``solve_tos_pd_single`` (the
-single-loop form of the primal-dual three-operator scheme).
+Each outer loop hands over the prox it cannot evaluate in closed form, as
+min_p 1/2 ||p - u||^2 + gamma (phi + h o B)(p): the forward-backward loop
+needs the prox of g + h o B (phi = g), and the three-operator loop, with its
+shadow variable z, the prox of h o B (phi = 0).  The dual inner solver runs
+forward-backward steps on the subproblem's dual, the primal-dual one runs
+primal-dual steps; each takes a fixed number ``inner_iters`` of steps and
+warm-starts from its previous terminal value.  With one inner step the four
+collapse to known single-loop algorithms, kept as independent implementations
+so that the identity is a real check: ``solve_pdfp``, ``solve_condat_vu``,
+``solve_pd3o`` and ``solve_tos_pd_single`` (the single-loop form of the
+primal-dual three-operator scheme); ``solve_davis_yin`` is pd3o at B = I.
 
 Each solver's steps and step-size condition are one row of ``_TABLE``;
 ``check_steps`` applies that row before the first step.  L is
@@ -274,115 +277,101 @@ def _run(problem, config, solver, step, start):
 
 
 # ---------------------------------------------------------------------------
-# forward-backward outer loop
+# nested schemes: two outer loops, two inner solvers
 # ---------------------------------------------------------------------------
 
-def solve_fb_dual(problem, config, x0=None, y0=None):
-    """Forward-backward outer loop; the prox of g + h o B is approximated by
-    forward-backward iterations on its dual.
+def _identity_prox(step, v):
+    return v
 
-    Outer:  u = x - gamma grad f(x)
-    Inner:  y <- prox_{(lam/gamma) h*}( y + (lam/gamma) B prox_{gamma g}(u - gamma B^T y) )
-    Update: x <- prox_{gamma g}(u - gamma B^T y)
-    """
-    f, g, h, B = check_steps("fb-dual", problem, config)
-    gamma, lam, J = config.gamma, config.lam, config.inner_iters
-    s = lam / gamma
+
+def _dual_inner(prox, h, B, config):
+    """Forward-backward steps on the dual of  min_p 1/2 ||p - u||^2 + gamma (phi + h o B)(p),
+    with ``prox(t, v)`` = prox_{t phi}(v); ``inner(u, y)`` runs J of them from y and
+    returns (p, y), p = prox_{gamma phi}(u - gamma B^T y)."""
+    gamma, J = config.gamma, config.inner_iters
+    s = config.lam / gamma
+
+    def inner(u, y, p=None):  # p, the primal warm start, is recovered from y instead
+        for _ in range(J):
+            y = h.prox_conjugate(s, y + s * B.apply(prox(gamma, u - gamma * B.adjoint_apply(y))))
+        return prox(gamma, u - gamma * B.adjoint_apply(y)), y
+
+    return inner
+
+
+def _pd_inner(prox, h, B, config):
+    """Primal-dual steps on  min_p 1/2 ||p - u||^2 + gamma (phi + h o B)(p), with
+    ``prox(t, v)`` = prox_{t phi}(v); ``inner(u, y, p)`` runs J of them from (p, y)
+    and returns (p, y)."""
+    gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
+    p_step = tau * gamma / (1.0 + tau)
+
+    def inner(u, y, p):
+        tau_u = tau * u
+        for _ in range(J):
+            p_new = prox(p_step, (p - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau))
+            y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * p_new - p))
+            p = p_new
+        return p, y
+
+    return inner
+
+
+def _fb(problem, config, solver, inner, x0, y0):
+    """Forward-backward outer loop: x <- prox_{gamma (g + h o B)}(x - gamma grad f(x)),
+    the prox from ``inner`` (phi = g) warm-started at (x, y)."""
+    f, gamma = problem.f, config.gamma
 
     def step(state):
         x, y = state
-        u = x - gamma * f.gradient(x)
-        for _ in range(J):
-            y = h.prox_conjugate(s, y + s * B.apply(g.prox(gamma, u - gamma * B.adjoint_apply(y))))
-        x = g.prox(gamma, u - gamma * B.adjoint_apply(y))
+        x, y = inner(x - gamma * f.gradient(x), y, x)
         return (x, y), x
 
-    return _run(problem, config, "fb-dual", step, (("x", x0), ("y", y0)))
+    return _run(problem, config, solver, step, (("x", x0), ("y", y0)))
+
+
+def _tos(problem, config, solver, inner, start):
+    """Three-operator outer loop: x = prox_{gamma g}(z), p = prox_{gamma h o B}(2x - z -
+    gamma grad f(x)) from ``inner`` (phi = 0), z <- z + p - x.  ``start`` names z, then
+    v when the inner solver carries its primal iterate between outer steps, then y."""
+    f, g, gamma = problem.f, problem.g, config.gamma
+
+    def step(state):
+        z, *v, y = state
+        x = g.prox(gamma, z)
+        p, y = inner(2.0 * x - z - gamma * f.gradient(x), y, *v)
+        z = z + p - x
+        return ((z, p, y) if v else (z, y)), x
+
+    return _run(problem, config, solver, step, start)
+
+
+def solve_fb_dual(problem, config, x0=None, y0=None):
+    """Forward-backward outer loop (prox of g + h o B) with the dual inner solver."""
+    _, g, h, B = check_steps("fb-dual", problem, config)
+    return _fb(problem, config, "fb-dual", _dual_inner(g.prox, h, B, config), x0, y0)
 
 
 def solve_fb_primal_dual(problem, config, x0=None, y0=None):
-    """Forward-backward outer loop; the prox of g + h o B is approximated by
-    primal-dual iterations.
+    """Forward-backward outer loop (prox of g + h o B) with the primal-dual inner
+    solver, whose primal iterate warm-starts from x, its previous terminal value."""
+    _, g, h, B = check_steps("fb-pd", problem, config)
+    return _fb(problem, config, "fb-pd", _pd_inner(g.prox, h, B, config), x0, y0)
 
-    Outer:  u = x - gamma grad f(x)
-    Inner:  xb <- prox_{tau gamma/(1+tau) g}( (xb - tau B^T y + tau u) / (1+tau) )
-            y  <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 xb' - xb) )
-    Update: x <- xb
-
-    The inner variable xb warm-starts from x, which is its previous terminal
-    value, and y from its own.
-    """
-    f, g, h, B = check_steps("fb-pd", problem, config)
-    gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
-    g_step = tau * gamma / (1.0 + tau)
-
-    def step(state):
-        x, y = state
-        u = x - gamma * f.gradient(x)
-        xb = x
-        tau_u = tau * u
-        for _ in range(J):
-            xb_new = g.prox(g_step, (xb - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau))
-            y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * xb_new - xb))
-            xb = xb_new
-        return (xb, y), xb
-
-    return _run(problem, config, "fb-pd", step, (("x", x0), ("y", y0)))
-
-
-# ---------------------------------------------------------------------------
-# three-operator outer loop
-# ---------------------------------------------------------------------------
 
 def solve_tos_dual(problem, config, z0=None, y0=None):
-    """Three-operator outer loop; the prox of h o B is approximated by
-    forward-backward iterations on its dual.
-
-    x = prox_{gamma g}(z);  u = 2x - z - gamma grad f(x)
-    Inner:  y <- prox_{(lam/gamma) h*}( y + (lam/gamma) B (u - gamma B^T y) )
-    Update: z <- z + (u - gamma B^T y) - x
-    """
-    f, g, h, B = check_steps("tos-dual", problem, config)
-    gamma, lam, J = config.gamma, config.lam, config.inner_iters
-    s = lam / gamma
-
-    def step(state):
-        z, y = state
-        x = g.prox(gamma, z)
-        u = 2.0 * x - z - gamma * f.gradient(x)
-        for _ in range(J):
-            y = h.prox_conjugate(s, y + s * B.apply(u - gamma * B.adjoint_apply(y)))
-        z = z + (u - gamma * B.adjoint_apply(y)) - x
-        return (z, y), x
-
-    return _run(problem, config, "tos-dual", step, (("z", z0), ("y", y0)))
+    """Three-operator outer loop (prox of h o B) with the dual inner solver."""
+    _, _, h, B = check_steps("tos-dual", problem, config)
+    inner = _dual_inner(_identity_prox, h, B, config)
+    return _tos(problem, config, "tos-dual", inner, (("z", z0), ("y", y0)))
 
 
 def solve_tos_primal_dual(problem, config, z0=None, v0=None, y0=None):
-    """Three-operator outer loop; the prox of h o B is approximated by
-    primal-dual iterations.
-
-    x = prox_{gamma g}(z);  u = 2x - z - gamma grad f(x)
-    Inner:  v <- (v - tau B^T y + tau u) / (1+tau)
-            y <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 v' - v) )
-    Update: z <- z + v - x
-    """
-    f, g, h, B = check_steps("tos-pd", problem, config)
-    gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
-
-    def step(state):
-        z, v, y = state
-        x = g.prox(gamma, z)
-        u = 2.0 * x - z - gamma * f.gradient(x)
-        tau_u = tau * u
-        for _ in range(J):
-            v_new = (v - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau)
-            y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * v_new - v))
-            v = v_new
-        z = z + v - x
-        return (z, v, y), x
-
-    return _run(problem, config, "tos-pd", step, (("z", z0), ("v", v0), ("y", y0)))
+    """Three-operator outer loop (prox of h o B) with the primal-dual inner
+    solver, whose primal iterate v is carried between outer steps."""
+    _, _, h, B = check_steps("tos-pd", problem, config)
+    inner = _pd_inner(_identity_prox, h, B, config)
+    return _tos(problem, config, "tos-pd", inner, (("z", z0), ("v", v0), ("y", y0)))
 
 
 # ---------------------------------------------------------------------------
