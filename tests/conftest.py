@@ -1,10 +1,11 @@
 """The rows of the ``verify`` property suites at seed 3, shared by the unit
-tests and the acceptance criteria, so each property has one implementation,
-and the helpers that compare a kernel with its oracle bit for bit.
+tests and the acceptance criteria, so each property has one implementation
+and the equivalence suite runs once per session, and the helpers that compare a kernel with its oracle bit for bit.
 
 Every warning raised by a test in this directory is an error, so a 0/0 or an
 overflow in a vectorised kernel fails the suite instead of leaking a NaN."""
 
+import time
 import warnings
 from pathlib import Path
 
@@ -48,8 +49,16 @@ def operator_rows():
 
 
 @pytest.fixture(scope="session")
-def equivalence_rows():
-    return suite_rows(equivalence_suite)
+def equivalence_run():
+    """The equivalence rows and the seconds the suite took to produce them."""
+    t0 = time.monotonic()
+    rows = suite_rows(equivalence_suite)
+    return rows, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def equivalence_rows(equivalence_run):
+    return equivalence_run[0]
 
 
 def signed_zeros(rng, size, scale=1.0):

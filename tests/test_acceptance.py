@@ -27,7 +27,7 @@ from splitopt.solvers import (
     solve_tos_dual,
     solve_tos_primal_dual,
 )
-from splitopt.verification import equivalence_suite, prox_suite
+from splitopt.verification import prox_suite
 
 FOUR_ALGORITHMS = {
     "fb-dual": solve_fb_dual,
@@ -63,13 +63,11 @@ def prox_library_dim4(rng):
     ]
 
 
-def test_criterion_1_identity_suite():
-    t0 = time.monotonic()
-    results = equivalence_suite(seed=3)
-    elapsed = time.monotonic() - t0
-    ok = all(passed for _, passed, _ in results) and len(results) == 14 and elapsed < 10.0
+def test_criterion_1_identity_suite(equivalence_run):
+    rows, elapsed = equivalence_run
+    ok = all(passed for passed, _ in rows.values()) and len(rows) == 14 and elapsed < 10.0
     detail = (f"fourteen reduction identities below 1e-12 over >=200 iterations "
-              f"({'; '.join(d for _, _, d in results)}), {elapsed:.1f}s")
+              f"({'; '.join(d for _, d in rows.values())}), {elapsed:.1f}s")
     report(1, ok, detail)
 
 

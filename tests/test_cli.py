@@ -448,11 +448,6 @@ class TestExitCodes:
 
 
 class TestVerify:
-    def test_equivalence_suite_passes(self, capsys):
-        assert cli.main(["verify", "equivalence"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 14 and "FAIL" not in out
-
     def test_prox_suite_passes_within_budget(self, capsys):
         import time
 
@@ -463,7 +458,10 @@ class TestVerify:
 
     def test_verify_all_is_green(self, capsys):
         assert cli.main(["verify", "all"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        # the equivalence suite's rows are the ones that state an identity
+        assert sum(" == " in line for line in out.splitlines()) == 14
 
     def test_unknown_suite_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

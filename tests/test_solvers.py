@@ -28,7 +28,6 @@ from splitopt.solvers import (
     solve_pdfp,
     solve_tos_dual,
     solve_tos_pd_single,
-    solve_tos_primal_dual,
 )
 
 
@@ -172,13 +171,19 @@ class TestDegenerateReductions:
         assert long_run.converged
         assert np.linalg.norm(long_run.final_x - x_star) < 1e-6
 
-    def test_tos_pd_g_zero_matches_fb_pd(self):
+    @pytest.mark.parametrize("fb, tos", [("fb-dual", "tos-dual"), ("fb-pd", "tos-pd")],
+                             ids=["dual", "pd"])
+    def test_tos_g_zero_is_fb_one_step_later(self, fb, tos):
+        # with g = 0 the three-operator step hands its inner solver the point
+        # x - gamma grad f(x) at x = z, as the forward-backward step does, and
+        # records x = z before the step: tos iterate k+1 is fb iterate k
         p = build_fused_lasso(m=30, n=60, mu1=0.0, seed=7)
-        c = preset_config(p, "type-II", eps=1e-10, max_outer=20000)
-        a = solve_tos_primal_dual(p, c)
-        b = solve_fb_primal_dual(p, c)
-        assert a.converged and b.converged
-        assert np.linalg.norm(a.final_x - b.final_x) / np.linalg.norm(b.final_x) < 1e-6
+        c = preset_config(p, "type-II", inner_iters=3, eps=1e-300, max_outer=201,
+                          record_iterates=True)
+        fb_iterates = SOLVERS[fb](p, dataclasses.replace(c, max_outer=200)).iterates
+        tos_iterates = SOLVERS[tos](p, c).iterates
+        gaps = [np.abs(a - b).max() for a, b in zip(tos_iterates[1:], fb_iterates, strict=True)]
+        assert max(gaps) < 1e-12
 
     def test_pdfp_h_zero_keeps_dual_at_zero_and_is_proximal_gradient(self):
         rng = np.random.default_rng(6)
