@@ -1,6 +1,7 @@
 """The rows of the ``verify`` property suites at seed 3, shared by the unit
 tests and the acceptance criteria, so each property has one implementation
-and the equivalence suite runs once per session, and the helpers that compare a kernel with its oracle bit for bit.
+and the equivalence suite runs once per session, and the helpers that
+compare a kernel with its oracle bit for bit.
 
 Every warning raised by a test in this directory is an error, so a 0/0 or an
 overflow in a vectorised kernel fails the suite instead of leaking a NaN."""
