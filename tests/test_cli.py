@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import os
 import re
 import stat
@@ -448,6 +450,22 @@ class TestExitCodes:
 
 
 class TestVerify:
+    @pytest.fixture(scope="class")
+    def verify_all(self):
+        """The exit code and output of one ``verify all``, shared by the tests
+        below so that the equivalence suite runs once for both."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "all"])
+        return code, out.getvalue()
+
+    def test_equivalence_suite_passes(self, verify_all):
+        _, out = verify_all
+        # the equivalence suite's rows are the ones that state an identity
+        rows = [line for line in out.splitlines() if " == " in line]
+        assert len(rows) == 14
+        assert all(line.startswith("PASS ") for line in rows)
+
     def test_prox_suite_passes_within_budget(self, capsys):
         import time
 
@@ -456,12 +474,10 @@ class TestVerify:
         assert time.monotonic() - t0 < 60.0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_verify_all_is_green(self, capsys):
-        assert cli.main(["verify", "all"]) == 0
-        out = capsys.readouterr().out
+    def test_verify_all_is_green(self, verify_all):
+        code, out = verify_all
+        assert code == 0
         assert "FAIL" not in out
-        # the equivalence suite's rows are the ones that state an identity
-        assert sum(" == " in line for line in out.splitlines()) == 14
 
     def test_unknown_suite_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
