@@ -13,13 +13,13 @@ shadow variable z, the prox of h o B (phi = 0).  The dual inner solver runs
 forward-backward steps on the subproblem's dual, the primal-dual one runs
 primal-dual steps; each takes a fixed number ``inner_iters`` of steps and
 warm-starts from its previous terminal value.  With one inner step the four
-collapse to known single-loop algorithms, kept as independent implementations
-so that the identity is a real check: ``solve_pdfp``, ``solve_condat_vu``,
-``solve_pd3o`` and ``solve_tos_pd_single`` (the single-loop form of the
-primal-dual three-operator scheme); ``solve_davis_yin`` is pd3o at B = I.
+collapse to single-loop algorithms, kept as independent implementations so
+that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
 
-Each solver's steps and step-size condition are one row of ``_TABLE``;
-``check_steps`` applies that row before the first step.  L is
+Each solver's steps and step-size condition are one row of ``_TABLE``, and a
+nested solver's row also names the single-loop scheme it equals at J = 1 and
+maps its config to that scheme's; ``check_steps`` applies a row before the
+first step.  L is
 ``f.op.norm_sq`` for a least-squares f, and the spectral quantities of B
 come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
 ``Gradient2D``, ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and
@@ -31,7 +31,7 @@ evaluated from the second computed iterate on.  Non-finite iterates or a
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def check_steps(solver, problem, config):
     """Raise ConfigError unless ``config`` carries the steps ``solver`` reads,
     gamma in (0, 2/L) if it reads gamma, and they meet the condition in its
     row of ``_TABLE`` (a message when not).  Return the problem's f, g, h, B."""
-    _, steps, condition = _TABLE[solver]
+    _, steps, condition, _, _ = _TABLE[solver]
     lip = problem.f.lipschitz
     if "gamma" in steps and lip > 0 and not config.gamma < 2.0 / lip:
         raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
@@ -488,18 +488,22 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
     return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
-#: solver id -> (solve function, the SolverConfig steps it reads, their condition)
+#: solver id -> (solve function, the SolverConfig steps it reads, their condition,
+#: and for a nested scheme the single-loop scheme it equals at J = 1 with the map
+#: from its config to that scheme's)
 _TABLE = {
-    "fb-dual": (solve_fb_dual, ("gamma", "lam"), _lam_condition),
-    "fb-pd": (solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition),
-    "tos-dual": (solve_tos_dual, ("gamma", "lam"), _lam_condition),
-    "tos-pd": (solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition),
-    "pdfp": (solve_pdfp, ("gamma", "lam"), _lam_condition),
-    "condat-vu": (solve_condat_vu, ("sigma", "tau"), _condat_vu_condition),
-    "pd3o": (solve_pd3o, ("gamma", "lam"), _lam_condition),
-    "davis-yin": (solve_davis_yin, ("gamma",), _identity_condition),
-    "tos-pd-single": (solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition),
+    "fb-dual": (solve_fb_dual, ("gamma", "lam"), _lam_condition, "pdfp", lambda c: c),
+    "fb-pd": (solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "condat-vu",
+              lambda c: replace(c, sigma=c.sigma / c.gamma, tau=c.tau * c.gamma / (1 + c.tau))),
+    "tos-dual": (solve_tos_dual, ("gamma", "lam"), _lam_condition, "pd3o", lambda c: c),
+    "tos-pd": (solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition,
+               "tos-pd-single", lambda c: c),
+    "pdfp": (solve_pdfp, ("gamma", "lam"), _lam_condition, None, None),
+    "condat-vu": (solve_condat_vu, ("sigma", "tau"), _condat_vu_condition, None, None),
+    "pd3o": (solve_pd3o, ("gamma", "lam"), _lam_condition, None, None),
+    "davis-yin": (solve_davis_yin, ("gamma",), _identity_condition, None, None),
+    "tos-pd-single": (solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition, None, None),
 }
 
 #: solver id -> solve function, looked up when a cell runs, so a replaced entry is honoured
-SOLVERS = {solver: solve for solver, (solve, _, _) in _TABLE.items()}
+SOLVERS = {solver: row[0] for solver, row in _TABLE.items()}

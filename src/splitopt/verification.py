@@ -26,18 +26,7 @@ from .proxfuncs import (
     ZeroFunction,
 )
 from .smooth import LeastSquares
-from .solvers import (
-    SolverConfig,
-    solve_condat_vu,
-    solve_davis_yin,
-    solve_fb_dual,
-    solve_fb_primal_dual,
-    solve_pd3o,
-    solve_pdfp,
-    solve_tos_dual,
-    solve_tos_pd_single,
-    solve_tos_primal_dual,
-)
+from .solvers import _TABLE, SOLVERS, SolverConfig, solve_davis_yin, solve_pd3o, solve_pdfp
 
 __all__ = ["prox_suite", "operator_suite", "equivalence_suite", "run_suite", "SUITES"]
 
@@ -251,10 +240,11 @@ def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
 
 
 def equivalence_suite(seed=0):
-    """The reduction identities: at one warm-started inner step the nested
-    schemes are PDFP, Condat-Vu and PD3O, checked pointwise to 1e-12 over
-    200 iterations of a small instance of each family.  The CT and lrtv-sr
-    rows carry their family's tag and take lam = sigma = 0.9 / ||B||^2."""
+    """The reduction identities: at one warm-started inner step each nested
+    scheme equals the single-loop scheme its row of ``_TABLE`` names, run with
+    that row's config map, checked pointwise to 1e-12 over 200 iterations of a
+    small instance of each family.  The CT and lrtv-sr rows carry their
+    family's tag and take lam = sigma = 0.9 / ||B||^2."""
     iters, tau = 200, 1.0
     results = []
     for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),
@@ -262,23 +252,15 @@ def equivalence_suite(seed=0):
                    (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
         gamma = 1.9 / p.f.lipschitz
         step = 0.9 / p.B.norm_sq if tag else 0.25  # the lasso rows keep their steps
-
-        def cfg(**kw):
-            return SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True, **kw)
-        results += [
-            _identity_row("fb-dual(J=1,warm) == pdfp" + tag, solve_fb_dual(p, cfg(lam=step)),
-                          solve_pdfp(p, cfg(lam=step)), iters),
-            _identity_row("tos-dual(J=1) == pd3o" + tag, solve_tos_dual(p, cfg(lam=step)),
-                          solve_pd3o(p, cfg(lam=step)), iters),
-            _identity_row("tos-pd(J=1) == tos-pd-single" + tag,
-                          solve_tos_primal_dual(p, cfg(sigma=step, tau=tau)),
-                          solve_tos_pd_single(p, cfg(sigma=step, tau=tau)), iters),
-            # Condat-Vu's steps are sigma' = sigma/gamma, tau' = tau gamma/(1+tau)
-            _identity_row("fb-pd(J=1) == condat-vu(reparameterized)" + tag,
-                          solve_fb_primal_dual(p, cfg(sigma=step, tau=tau)),
-                          solve_condat_vu(p, cfg(sigma=step / gamma, tau=tau * gamma / (1 + tau))),
-                          iters),
-        ]
+        for nested, (_, steps, _, single, to_single) in _TABLE.items():
+            if single is None:
+                continue
+            # lam, or sigma with tau, as the nested row lists them
+            c = SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True,
+                             **{name: tau if name == "tau" else step
+                                for name in steps if name != "gamma"})
+            results.append(_identity_row(f"{nested}(J=1) == {single}{tag}", SOLVERS[nested](p, c),
+                                         SOLVERS[single](p, to_single(c)), iters))
 
     rng = np.random.default_rng(seed + 1)
     a = rng.standard_normal((30, 40))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.solvers import SOLVERS, ConfigError, SolverConfig, check_steps, preset_config
+from splitopt.solvers import _TABLE, SOLVERS, ConfigError, check_steps, preset_config
 
 PATH = Path(__file__).with_name("fingerprint.txt")
 HEADER = "# family solver iteration objective norm_x (float.hex)"
@@ -29,14 +29,10 @@ FAMILIES = {
 
 
 def _config(problem, solver):
-    # type-II steps at J = 3; condat-vu takes the steps of fb-pd at J = 1, reparameterized
+    # type-II steps at J = 3; condat-vu takes the steps of fb-pd, mapped as fb-pd's row maps them
     c = preset_config(problem, "type-II", inner_iters=3, eps=1e-300, max_outer=ITERS[-1],
                       record_iterates=True)
-    if solver == "condat-vu":
-        c = SolverConfig(gamma=c.gamma, sigma=c.sigma / c.gamma,
-                         tau=c.tau * c.gamma / (1 + c.tau), eps=1e-300, max_outer=ITERS[-1],
-                         record_iterates=True)
-    return c
+    return _TABLE["fb-pd"][4](c) if solver == "condat-vu" else c
 
 
 def fingerprint(family):

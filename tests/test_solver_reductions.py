@@ -13,7 +13,7 @@ from splitopt.verification import _identity_row
 
 
 def test_fb_dual_one_inner_step_is_pdfp(equivalence_rows):
-    assert_row(equivalence_rows, "fb-dual(J=1,warm) == pdfp")
+    assert_row(equivalence_rows, "fb-dual(J=1) == pdfp")
 
 
 def test_tos_dual_one_inner_step_is_pd3o(equivalence_rows):
@@ -25,7 +25,7 @@ def test_tos_pd_one_inner_step_is_single_loop(equivalence_rows):
 
 
 def test_fb_pd_one_inner_step_is_condat_vu(equivalence_rows):
-    assert_row(equivalence_rows, "fb-pd(J=1) == condat-vu(reparameterized)")
+    assert_row(equivalence_rows, "fb-pd(J=1) == condat-vu")
 
 
 def test_pd3o_identity_operator_is_davis_yin(equivalence_rows):
@@ -41,7 +41,7 @@ FAMILIES = ["ct", "lrtv-sr"]
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fb_dual_one_inner_step_is_pdfp_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"fb-dual(J=1,warm) == pdfp [{family}]")
+    assert_row(equivalence_rows, f"fb-dual(J=1) == pdfp [{family}]")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -56,7 +56,7 @@ def test_tos_pd_one_inner_step_is_single_loop_on_family(equivalence_rows, family
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fb_pd_one_inner_step_is_condat_vu_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"fb-pd(J=1) == condat-vu(reparameterized) [{family}]")
+    assert_row(equivalence_rows, f"fb-pd(J=1) == condat-vu [{family}]")
 
 
 def test_short_trajectory_fails_its_row():

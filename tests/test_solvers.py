@@ -567,7 +567,7 @@ class TestStepTable:
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_listed_steps_suffice_and_each_is_required(self, name):
-        _, steps, _ = solvers._TABLE[name]
+        _, steps, _, _, _ = solvers._TABLE[name]
         p = TestStartState._problem()  # B = I and L = 1: every solver applies
         values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
         c = SolverConfig(**{k: values[k] for k in ("gamma", *steps)}, eps=1e-16, max_outer=2)
@@ -653,9 +653,8 @@ class TestCallCounts:
         p = build_ct_problem(img_side=16, views=4, rays=12, seed=1)
         c = preset_config(p, "custom", lam=0.125, sigma=0.125, tau=1.0, inner_iters=3,
                           eps=1e-16, max_outer=7)
-        if name == "condat-vu":  # the steps of fb-pd at J = 1, reparameterized
-            c = SolverConfig(gamma=c.gamma, sigma=c.sigma / c.gamma,
-                             tau=c.tau * c.gamma / (1 + c.tau), eps=1e-16, max_outer=7)
+        if name == "condat-vu":  # the steps of fb-pd, mapped as fb-pd's row maps them
+            c = solvers._TABLE["fb-pd"][4](c)
         counts = [0] * 6
         for i, (obj, method) in enumerate(((p.f.op, "apply"), (p.f.op, "adjoint_apply"),
                                            (p.B, "apply"), (p.B, "adjoint_apply"),
