@@ -26,8 +26,9 @@ come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
 user operators take the power-iteration estimate, which can be slightly low.
 
 Stopping: relative change ||x_{k+1} - x_k|| / max(||x_k||, 1e-30) <= eps,
-evaluated from the second computed iterate on.  Non-finite iterates or a
-1e12-fold objective blow-up abort with ``DivergenceError``.
+evaluated from the second computed iterate on.  A non-finite x or state
+variable, named at the step that made it, or a 1e12-fold objective blow-up
+aborts with ``DivergenceError``.
 """
 
 import math
@@ -240,6 +241,7 @@ def _start_state(problem, start):
 def _run(problem, config, solver, step, start):
     """Outer-loop driver: start state, stopping test, divergence guard, trace recording."""
     state = _start_state(problem, start)
+    keys = [key for key, _ in start]
     records = []
     iterates = [] if config.record_iterates else None
     x_prev = None
@@ -250,8 +252,9 @@ def _run(problem, config, solver, step, start):
         ref = Reference(problem.ground_truth, problem.dynamic_range)
     for k in range(1, config.max_outer + 1):
         state, x = step(state)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(solver, k, "non-finite iterate")
+        for key, value in (("x", x), *zip(keys, state)):
+            if not np.all(np.isfinite(value)):
+                raise DivergenceError(solver, k, f"non-finite {key}")
         obj = problem.objective(x)
         if obj_ref is None and np.isfinite(obj):
             obj_ref = max(abs(obj), 1.0)
@@ -271,7 +274,7 @@ def _run(problem, config, solver, step, start):
         records=records,
         final_x=x_prev,
         converged=converged,
-        final_state=dict(zip((key for key, _ in start), state)),
+        final_state=dict(zip(keys, state)),
         iterates=iterates,
     )
 

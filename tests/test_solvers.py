@@ -606,6 +606,24 @@ class TestDivergenceDetection:
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 solve_fb_dual(p, c, x0=np.ones(4))
 
+    @pytest.mark.parametrize("name", sorted(set(SOLVERS) - {"davis-yin"}))
+    def test_nonfinite_state_named_at_the_step_that_made_it(self, name):
+        # h*'s prox turns to NaN at its 5th call, in outer step 5 at J = 1; the
+        # solvers whose x takes the NaN only later must still stop at step 5
+        p = small_lasso()
+        prox, calls = p.h.prox_conjugate, []
+
+        def nan_from_the_fifth_call(step, v):
+            calls.append(step)
+            return prox(step, v) if len(calls) < 5 else np.full(len(v), np.nan)
+
+        p.h.prox_conjugate = nan_from_the_fifth_call
+        c = preset_config(p, "type-II", eps=1e-30, max_outer=20)
+        if name == "condat-vu":
+            c = solvers._TABLE["fb-pd"][4](c)
+        with pytest.raises(DivergenceError, match=r"outer iteration 5: non-finite [xyzv]$"):
+            SOLVERS[name](p, c)
+
     def test_objective_blowup_detected_early(self):
         p = self._problem(self._ExplodingValue())
         c = SolverConfig(gamma=0.19, lam=1.0, eps=1e-30, max_outer=5000)
