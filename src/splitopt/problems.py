@@ -231,16 +231,12 @@ def fan_beam_rays(side, angles, rays):
     finite("view angles", angles)
     src_radius = 2.0 * side
     fan_half = np.arcsin((side / np.sqrt(2.0)) / src_radius)
-    out = np.empty((len(angles) * rays, 4))
-    for vi, theta in enumerate(angles):
-        sx = src_radius * np.cos(theta)
-        sy = src_radius * np.sin(theta)
-        central = np.arctan2(-sy, -sx)
-        for ri in range(rays):
-            beta = -fan_half + (ri + 0.5) * (2.0 * fan_half / rays)
-            ang = central + beta
-            out[vi * rays + ri] = (sx, sy, np.cos(ang), np.sin(ang))
-    return out
+    theta = np.asarray(angles, dtype=float)
+    sx = src_radius * np.cos(theta)
+    sy = src_radius * np.sin(theta)
+    beta = -fan_half + (np.arange(rays) + 0.5) * (2.0 * fan_half / rays)
+    ang = (np.arctan2(-sy, -sx)[:, None] + beta).ravel()
+    return np.column_stack((np.repeat(sx, rays), np.repeat(sy, rays), np.cos(ang), np.sin(ang)))
 
 
 def fan_beam_matrix(side, angles, rays):

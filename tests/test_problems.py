@@ -66,6 +66,22 @@ def trace_ray_oracle(side, sx, sy, dx, dy):
     return cy[ok] * side + cx[ok], lengths[ok]
 
 
+def fan_beam_rays_oracle(side, angles, rays):
+    """The fan-beam ray geometry, one view and one ray at a time."""
+    src_radius = 2.0 * side
+    fan_half = np.arcsin((side / np.sqrt(2.0)) / src_radius)
+    out = np.empty((len(angles) * rays, 4))
+    for vi, theta in enumerate(angles):
+        sx = src_radius * np.cos(theta)
+        sy = src_radius * np.sin(theta)
+        central = np.arctan2(-sy, -sx)
+        for ri in range(rays):
+            beta = -fan_half + (ri + 0.5) * (2.0 * fan_half / rays)
+            ang = central + beta
+            out[vi * rays + ri] = (sx, sy, np.cos(ang), np.sin(ang))
+    return out
+
+
 def _random_geometry(side):
     rng = np.random.default_rng(side)
     return fan_beam_rays(side, rng.uniform(0.0, 2.0 * np.pi, 4), 2 * side + 1)
@@ -105,6 +121,15 @@ class TestRayTracer:
         assert np.array_equal(rows, np.repeat(np.arange(len(geometry)), [p.size for p in pixels]))
         assert np.array_equal(got_pixels, np.concatenate(pixels))
         assert np.array_equal(got_lengths, np.concatenate(lengths))
+
+    @pytest.mark.parametrize("side, views, rays", [(64, 20, 96), (16, 6, 24), (64, 180, 96),
+                                                   (17, 1, 1), (128, 50, 257)])
+    def test_fan_beam_rays_match_the_scalar_loop(self, side, views, rays):
+        # the broadcast geometry runs the loop's expressions elementwise, so
+        # its rows are the loop's, bit for bit, on angles of either sign
+        angles = np.random.default_rng(side).uniform(-2.0 * np.pi, 4.0 * np.pi, views)
+        assert np.array_equal(fan_beam_rays(side, angles, rays),
+                              fan_beam_rays_oracle(side, angles, rays))
 
     def test_hand_made_rays(self):
         # the oracle itself: the misses trace nothing, an axis-parallel ray
