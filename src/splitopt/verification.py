@@ -239,6 +239,14 @@ def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
     return name, gap < 1e-12, f"max gap {gap:.2e}"
 
 
+def _identity_b_problem(seed):
+    """A small l1-penalised least-squares instance with B = I, which davis-yin admits."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((30, 40))
+    return SplitProblem(f=LeastSquares(DenseMatrix(a), rng.standard_normal(30)),
+                        g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(40))
+
+
 def equivalence_suite(seed=0):
     """The reduction identities: at one warm-started inner step each nested
     scheme equals the single-loop scheme its row of ``_TABLE`` names, run with
@@ -262,12 +270,7 @@ def equivalence_suite(seed=0):
             results.append(_identity_row(f"{nested}(J=1) == {single}{tag}", SOLVERS[nested](p, c),
                                          SOLVERS[single](p, to_single(c)), iters))
 
-    rng = np.random.default_rng(seed + 1)
-    a = rng.standard_normal((30, 40))
-    p_id = SplitProblem(
-        f=LeastSquares(DenseMatrix(a), rng.standard_normal(30)),
-        g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(40),
-    )
+    p_id = _identity_b_problem(seed + 1)
     c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters,
                         record_iterates=True)
     results.append(_identity_row("pd3o(lam=1,B=I) == davis-yin", solve_pd3o(p_id, c_id),

@@ -13,30 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitopt.operators import DenseMatrix, Identity
-from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.proxfuncs import L1Norm
-from splitopt.smooth import LeastSquares
+from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.solvers import _TABLE, SOLVERS, ConfigError, check_steps, preset_config
+from splitopt.verification import _identity_b_problem
 
 PATH = Path(__file__).with_name("fingerprint.txt")
 HEADER = "# family solver iteration objective norm_x (float.hex)"
 ITERS = (1, 10, 50)
-
-def _identity_b_problem(seed=4):
-    # B = I, so that davis-yin applies; built as verify's davis-yin row builds its instance
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((30, 40))
-    return SplitProblem(f=LeastSquares(DenseMatrix(a), rng.standard_normal(30)),
-                        g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(40))
-
 
 #: family -> its small instance
 FAMILIES = {
     "fused-lasso": lambda: build_fused_lasso(m=30, n=60, seed=3),
     "constrained-tv-ct": lambda: build_ct_problem(img_side=16, views=4, rays=12, seed=1),
     "lrtv-sr": lambda: build_lrtv_problem(rows=16, cols=16, seed=1),
-    "identity-b": _identity_b_problem,
+    "identity-b": lambda: _identity_b_problem(seed=4),  # B = I, so that davis-yin applies
 }
 
 
