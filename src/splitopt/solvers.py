@@ -19,9 +19,8 @@ that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
 Each solver's steps and step-size condition are one row of ``_TABLE``, and a
 nested solver's row also names the single-loop scheme it equals at J = 1 and
 maps its config to that scheme's; ``check_steps`` applies a row before the
-first step.  L is
-``f.op.norm_sq`` for a least-squares f, and the spectral quantities of B
-come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
+first step.  L is ``f.op.norm_sq`` for a least-squares f, and the spectral
+quantities of B come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
 ``Gradient2D``, ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and
 user operators take the power-iteration estimate, which can be slightly low.
 
