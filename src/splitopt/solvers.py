@@ -16,13 +16,14 @@ warm-starts from its previous terminal value.  With one inner step the four
 collapse to single-loop algorithms, kept as independent implementations so
 that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
 
-Each solver's steps and step-size condition are one row of ``_TABLE``, and a
-nested solver's row also names the single-loop scheme it equals at J = 1 and
-maps its config to that scheme's; ``check_steps`` applies a row before the
-first step.  L is ``f.op.norm_sq`` for a least-squares f, and the spectral
-quantities of B come from ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``,
-``Gradient2D``, ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and
-user operators take the power-iteration estimate, which can be slightly low.
+Each solver is one ``_Row`` of ``_TABLE``: its ``solve`` function, the ``steps`` it
+reads, their ``condition`` and, for a nested solver, the ``single``-loop scheme it
+equals at J = 1 and ``to_single``, its config map (None: the same config).
+``check_steps`` applies a row before the first step.  L is ``f.op.norm_sq`` for a
+least-squares f, and the spectral quantities of B come from ``B.norm_sq``.  Those are
+exact for ``Identity``, ``Difference1D``, ``Gradient2D``, ``BlurDownsample`` and
+``DenseMatrix``; ``SparseMatrix`` and user operators take the power-iteration
+estimate, which can be slightly low.
 
 Stopping: relative change ||x_{k+1} - x_k|| / max(||x_k||, 1e-30) <= eps,
 evaluated from the second computed iterate on.  A non-finite x or state
@@ -31,6 +32,7 @@ aborts with ``DivergenceError``.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,14 +184,14 @@ def check_steps(solver, problem, config):
     """Raise ConfigError unless ``config`` carries the steps ``solver`` reads,
     gamma in (0, 2/L) if it reads gamma, and they meet the condition in its
     row of ``_TABLE`` (a message when not).  Return the problem's f, g, h, B."""
-    _, steps, condition, _, _ = _TABLE[solver]
+    row = _TABLE[solver]
     lip = problem.f.lipschitz
-    if "gamma" in steps and lip > 0 and not config.gamma < 2.0 / lip:
+    if "gamma" in row.steps and lip > 0 and not config.gamma < 2.0 / lip:
         raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
-    missing = [name for name in steps if getattr(config, name) is None]
+    missing = [name for name in row.steps if getattr(config, name) is None]
     if missing:
         raise ConfigError(f"{solver} needs {' and '.join(missing)}")
-    message = condition(problem, config)
+    message = row.condition(problem, config)
     if message:
         raise ConfigError(message)
     return problem.f, problem.g, problem.h, problem.B
@@ -490,22 +492,20 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
     return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
-#: solver id -> (solve function, the SolverConfig steps it reads, their condition,
-#: and for a nested scheme the single-loop scheme it equals at J = 1 with the map
-#: from its config to that scheme's)
+_Row = namedtuple("_Row", "solve steps condition single to_single", defaults=(None, None))
+
 _TABLE = {
-    "fb-dual": (solve_fb_dual, ("gamma", "lam"), _lam_condition, "pdfp", lambda c: c),
-    "fb-pd": (solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "condat-vu",
-              lambda c: replace(c, sigma=c.sigma / c.gamma, tau=c.tau * c.gamma / (1 + c.tau))),
-    "tos-dual": (solve_tos_dual, ("gamma", "lam"), _lam_condition, "pd3o", lambda c: c),
-    "tos-pd": (solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition,
-               "tos-pd-single", lambda c: c),
-    "pdfp": (solve_pdfp, ("gamma", "lam"), _lam_condition, None, None),
-    "condat-vu": (solve_condat_vu, ("sigma", "tau"), _condat_vu_condition, None, None),
-    "pd3o": (solve_pd3o, ("gamma", "lam"), _lam_condition, None, None),
-    "davis-yin": (solve_davis_yin, ("gamma",), _identity_condition, None, None),
-    "tos-pd-single": (solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition, None, None),
+    "fb-dual": _Row(solve_fb_dual, ("gamma", "lam"), _lam_condition, "pdfp"),
+    "fb-pd": _Row(solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "condat-vu",
+                  lambda c: replace(c, sigma=c.sigma / c.gamma, tau=c.tau * c.gamma / (1 + c.tau))),
+    "tos-dual": _Row(solve_tos_dual, ("gamma", "lam"), _lam_condition, "pd3o"),
+    "tos-pd": _Row(solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "tos-pd-single"),
+    "pdfp": _Row(solve_pdfp, ("gamma", "lam"), _lam_condition),
+    "condat-vu": _Row(solve_condat_vu, ("sigma", "tau"), _condat_vu_condition),
+    "pd3o": _Row(solve_pd3o, ("gamma", "lam"), _lam_condition),
+    "davis-yin": _Row(solve_davis_yin, ("gamma",), _identity_condition),
+    "tos-pd-single": _Row(solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition),
 }
 
 #: solver id -> solve function, looked up when a cell runs, so a replaced entry is honoured
-SOLVERS = {solver: row[0] for solver, row in _TABLE.items()}
+SOLVERS = {solver: row.solve for solver, row in _TABLE.items()}

@@ -249,10 +249,10 @@ def _identity_b_problem(seed):
 
 def equivalence_suite(seed=0):
     """The reduction identities: at one warm-started inner step each nested
-    scheme equals the single-loop scheme its row of ``_TABLE`` names, run with
-    that row's config map, checked pointwise to 1e-12 over 200 iterations of a
-    small instance of each family.  The CT and lrtv-sr rows carry their
-    family's tag and take lam = sigma = 0.9 / ||B||^2."""
+    scheme equals the ``single``-loop scheme its row of ``_TABLE`` names, run
+    with the row's ``to_single`` config map, checked pointwise to 1e-12 over 200
+    iterations of a small instance of each family.  The CT and lrtv-sr rows
+    carry their family's tag and take lam = sigma = 0.9 / ||B||^2."""
     iters, tau = 200, 1.0
     results = []
     for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),
@@ -260,15 +260,15 @@ def equivalence_suite(seed=0):
                    (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
         gamma = 1.9 / p.f.lipschitz
         step = 0.9 / p.B.norm_sq if tag else 0.25  # the lasso rows keep their steps
-        for nested, (_, steps, _, single, to_single) in _TABLE.items():
-            if single is None:
+        for nested, row in _TABLE.items():
+            if row.single is None:
                 continue
-            # lam, or sigma with tau, as the nested row lists them
             c = SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True,
                              **{name: tau if name == "tau" else step
-                                for name in steps if name != "gamma"})
-            results.append(_identity_row(f"{nested}(J=1) == {single}{tag}", SOLVERS[nested](p, c),
-                                         SOLVERS[single](p, to_single(c)), iters))
+                                for name in row.steps if name != "gamma"})
+            single = SOLVERS[row.single](p, row.to_single(c) if row.to_single else c)
+            results.append(_identity_row(f"{nested}(J=1) == {row.single}{tag}", SOLVERS[nested](p, c),
+                                         single, iters))
 
     p_id = _identity_b_problem(seed + 1)
     c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters,

@@ -34,7 +34,7 @@ def _config(problem, solver):
     # type-II steps at J = 3; condat-vu takes the steps of fb-pd, mapped as fb-pd's row maps them
     c = preset_config(problem, "type-II", inner_iters=3, eps=1e-300, max_outer=ITERS[-1],
                       record_iterates=True)
-    return _TABLE["fb-pd"][4](c) if solver == "condat-vu" else c
+    return _TABLE["fb-pd"].to_single(c) if solver == "condat-vu" else c
 
 
 def fingerprint(family):

@@ -101,6 +101,14 @@ class TestProxValues:
         s_or = np.array([grid_prox_1d(1.0, si, np.abs, lo=0.0) for si in s])
         np.testing.assert_allclose(out.reshape(2, 2), (u * s_or) @ vt, atol=2e-5)
 
+    def test_nuclear_snaps_only_singular_values_below_1e_12(self):
+        # thresholded by step * weight = 0.5, the singular values become 1.5,
+        # about 1e-10 (kept) and about 1e-13 (snapped to zero)
+        v = np.diag([2.0, 0.5 + 1e-10, 0.5 + 1e-13])
+        out = NuclearNorm(0.25, (3, 3)).prox(2.0, v.ravel())
+        np.testing.assert_allclose(out.reshape(3, 3), np.diag([1.5, (0.5 + 1e-10) - 0.5, 0.0]),
+                                   rtol=1e-6, atol=1e-20)
+
     def test_group_l21_radial_shrink_vs_refine_oracle(self):
         f = GroupL21(1.0)
         v = np.array([3.0, 4.0])

@@ -417,6 +417,16 @@ class TestStoppingAndTrace:
             assert tr.converged
             assert tr.records[-1].rel_change <= 1e-7
 
+    def test_rel_change_equal_to_eps_stops(self):
+        p = small_lasso()
+        # the stopping test is rel_change <= eps: a rerun with eps set to the
+        # rel_change it stopped at stops at the same iteration, every earlier
+        # rel_change being above 1e-6 and so above that eps
+        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-6))
+        k, rel = tr.total_outer, tr.records[-1].rel_change
+        again = solve_fb_dual(p, preset_config(p, "type-II", eps=rel))
+        assert again.converged and again.total_outer == k and again.records[k - 1].rel_change == rel
+
     def test_maxiter_leaves_converged_false(self):
         p = small_lasso()
         tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-14, max_outer=20))
@@ -567,7 +577,7 @@ class TestStepTable:
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_listed_steps_suffice_and_each_is_required(self, name):
-        _, steps, _, _, _ = solvers._TABLE[name]
+        steps = solvers._TABLE[name].steps
         p = TestStartState._problem()  # B = I and L = 1: every solver applies
         values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
         c = SolverConfig(**{k: values[k] for k in ("gamma", *steps)}, eps=1e-16, max_outer=2)
@@ -578,6 +588,43 @@ class TestStepTable:
             for call in (SOLVERS[name], lambda *args: check_steps(name, *args)):
                 with pytest.raises(ConfigError, match=f"^{name} needs {step}$"):
                     call(p, dropped)
+
+
+#: each step condition -> (steps exactly at its bound, the same steps one ulp inside),
+#: on TestStartState._problem(), whose B = I and L = 1 make every bound exact
+BOUNDS = {
+    "gamma": ({"gamma": 2.0}, {"gamma": np.nextafter(2.0, 0.0)}),  # gamma < 2/L
+    "_lam_condition": ({"lam": 2.0}, {"lam": np.nextafter(2.0, 0.0)}),  # lam < 2/lambda_max
+    "_sigma_tau_condition": ({"sigma": 1.0, "tau": 1.0},  # sigma tau ||B||^2 < 1
+                             {"sigma": np.nextafter(1.0, 0.0), "tau": 1.0}),
+    # 1/tau - sigma ||B||^2 > L/2; tau moves, as 1 - (0.5 - ulp) rounds back to 0.5
+    "_condat_vu_condition": ({"sigma": 0.5, "tau": 1.0},
+                             {"sigma": 0.5, "tau": np.nextafter(1.0, 0.0)}),
+}
+
+
+def _bound_cases():
+    """(solver, condition) for every condition in BOUNDS that a row of the table applies."""
+    for name, row in sorted(solvers._TABLE.items()):
+        if "gamma" in row.steps:
+            yield name, "gamma"
+        if row.condition.__name__ in BOUNDS:
+            yield name, row.condition.__name__
+
+
+class TestStepBounds:
+    """Each step condition of the solver table rejects a step at its bound and
+    admits the step one ulp inside."""
+
+    @pytest.mark.parametrize("name, condition", list(_bound_cases()))
+    def test_condition_is_strict_at_its_bound(self, name, condition):
+        p = TestStartState._problem()
+        values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
+        c = SolverConfig(**values, eps=1e-16, max_outer=1)
+        at_bound, inside = BOUNDS[condition]
+        with pytest.raises(ConfigError):
+            SOLVERS[name](p, dataclasses.replace(c, **at_bound))
+        assert SOLVERS[name](p, dataclasses.replace(c, **inside)).total_outer == 1
 
 
 class TestDivergenceDetection:
@@ -620,7 +667,7 @@ class TestDivergenceDetection:
         p.h.prox_conjugate = nan_from_the_fifth_call
         c = preset_config(p, "type-II", eps=1e-30, max_outer=20)
         if name == "condat-vu":
-            c = solvers._TABLE["fb-pd"][4](c)
+            c = solvers._TABLE["fb-pd"].to_single(c)
         with pytest.raises(DivergenceError, match=r"outer iteration 5: non-finite [xyzv]$"):
             SOLVERS[name](p, c)
 
@@ -629,7 +676,9 @@ class TestDivergenceDetection:
         c = SolverConfig(gamma=0.19, lam=1.0, eps=1e-30, max_outer=5000)
         with pytest.raises(DivergenceError, match="objective") as excinfo:
             solve_fb_dual(p, c, x0=np.ones(4))
-        assert excinfo.value.iteration < 100
+        # x grows 2.9-fold per step and the objective 8.41-fold, so the objective
+        # first exceeds 1e12 times its first value at iteration 14 (8.41^13 = 1.05e12)
+        assert excinfo.value.iteration == 14
 
 
 class TestInnerIterationCounts:
@@ -672,7 +721,7 @@ class TestCallCounts:
         c = preset_config(p, "custom", lam=0.125, sigma=0.125, tau=1.0, inner_iters=3,
                           eps=1e-16, max_outer=7)
         if name == "condat-vu":  # the steps of fb-pd, mapped as fb-pd's row maps them
-            c = solvers._TABLE["fb-pd"][4](c)
+            c = solvers._TABLE["fb-pd"].to_single(c)
         counts = [0] * 6
         for i, (obj, method) in enumerate(((p.f.op, "apply"), (p.f.op, "adjoint_apply"),
                                            (p.B, "apply"), (p.B, "adjoint_apply"),
