@@ -619,8 +619,7 @@ class TestStepBounds:
     @pytest.mark.parametrize("name, condition", list(_bound_cases()))
     def test_condition_is_strict_at_its_bound(self, name, condition):
         p = TestStartState._problem()
-        values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
-        c = SolverConfig(**values, eps=1e-16, max_outer=1)
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=1)
         at_bound, inside = BOUNDS[condition]
         with pytest.raises(ConfigError):
             SOLVERS[name](p, dataclasses.replace(c, **at_bound))
