@@ -265,7 +265,7 @@ def cmd_run(args):
             cfg["presets"], cfg["solvers"], cfg["inner_iters"], cfg["eps"]):
         label = f"{preset} {solver_id} J={inner} eps={eps:g}"
         try:
-            solver_cfg = preset_config(problem, preset, inner_iters=inner, eps=eps,
+            solver_cfg = preset_config(problem, preset, solver_id, inner_iters=inner, eps=eps,
                                        max_outer=cfg["max_outer"],
                                        **(cfg["custom"] if preset == "custom" else {}))
             check_steps(solver_id, problem, solver_cfg)

@@ -11,7 +11,6 @@ change those arrays afterwards.
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
@@ -41,12 +40,8 @@ class LinearMap:
     kind = "abstract"
 
     def __init__(self, in_dim, out_dim):
-        if not all(isinstance(d, numbers.Integral) and d > 0 for d in (in_dim, out_dim)):
-            raise ValueError(
-                f"operator dimensions must be positive integers, got {in_dim}x{out_dim}"
-            )
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
+        self.in_dim = integer("in_dim", in_dim, 1)
+        self.out_dim = integer("out_dim", out_dim, 1)
 
     def apply(self, x):
         return self._apply(vector(x, self.in_dim, f"{self.kind} apply input"))
@@ -227,10 +222,9 @@ class Gradient2D(LinearMap):
     kind = "gradient-2d"
 
     def __init__(self, rows, cols):
-        # first, so that a float side gets the "positive integers" message of every operator
-        super().__init__(rows * cols, 2 * rows * cols)
         self.rows = integer("rows", rows, 2)
         self.cols = integer("cols", cols, 2)
+        super().__init__(self.rows * self.cols, 2 * self.rows * self.cols)
 
     @property
     def norm_sq(self):

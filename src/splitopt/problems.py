@@ -40,9 +40,10 @@ class SplitProblem:
     """One instance of  min_x f(x) + g(x) + h(Bx).
 
     ``b_lam_max`` is the conventional rounded lambda_max(B B^T), a positive
-    finite number, that the step-size presets use where the experiment
-    defines one; step-size conditions are checked against ``B.norm_sq``, and
-    ``exact_b_norm`` is its square root.  ``ground_truth`` and ``x0``, when
+    finite number, that the step-size presets use where the experiment defines
+    one (without it, ``preset_config`` raises ``B.norm_sq`` by a small margin);
+    step-size conditions are checked against ``B.norm_sq``, and ``exact_b_norm``
+    is its square root.  ``ground_truth`` and ``x0``, when
     set, must have ``B.in_dim`` entries.  A solve records SNR and NMSD when
     ``ground_truth`` is set, and rejects a constant or non-finite one; it
     records SSIM too when ``dynamic_range`` is set.

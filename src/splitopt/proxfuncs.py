@@ -20,11 +20,9 @@ finite comparisons.
 All instances are immutable and every method is pure.
 """
 
-import numbers
-
 import numpy as np
 
-from ._checks import finite, nonnegative, positive, vector
+from ._checks import finite, integer, nonnegative, positive, vector
 
 __all__ = [
     "ProxFunction",
@@ -193,9 +191,7 @@ class NuclearNorm(ProxFunction):
     def __init__(self, weight, shape):
         self.weight = nonnegative("weight", weight)
         rows, cols = shape
-        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (rows, cols)):
-            raise ValueError(f"matrix shape must be two integers >= 1, got {shape}")
-        self.shape = (int(rows), int(cols))
+        self.shape = (integer("matrix rows", rows, 1), integer("matrix cols", cols, 1))
 
     def _as_matrix(self, x):
         rows, cols = self.shape

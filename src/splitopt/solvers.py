@@ -18,12 +18,12 @@ that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
 
 Each solver is one ``_Row`` of ``_TABLE``: its ``solve`` function, the ``steps`` it
 reads, their ``condition`` and, for a nested solver, the ``single``-loop scheme it
-equals at J = 1 and ``to_single``, its config map (None: the same config).
-``check_steps`` applies a row before the first step.  L is ``f.op.norm_sq`` for a
-least-squares f, and the spectral quantities of B come from ``B.norm_sq``.  Those are
-exact for ``Identity``, ``Difference1D``, ``Gradient2D``, ``BlurDownsample`` and
-``DenseMatrix``; ``SparseMatrix`` and user operators take the power-iteration
-estimate, which can be slightly low.
+equals at J = 1 and ``to_single``, its config map (None: the same config), which
+``preset_config`` applies.  ``check_steps`` applies a row before the first step.
+L is ``f.op.norm_sq`` for a least-squares f, and B's spectral quantities come from
+``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``, ``Gradient2D``,
+``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and user operators take the
+power-iteration estimate, which can be slightly low.
 
 Stopping: relative change ||x_{k+1} - x_k|| / max(||x_k||, 1e-30) <= eps,
 evaluated from the second computed iterate on.  A non-finite x or state
@@ -79,6 +79,10 @@ class DivergenceError(RuntimeError):
 #: the named step rules of ``preset_config``
 PRESETS = ("type-I", "type-II", "custom")
 
+#: the relative margin by which a preset raises ``B.norm_sq`` where a problem sets no
+#: ``b_lam_max``, so that its steps lie strictly inside the conditions they serve
+_PRESET_MARGIN = 1e-6
+
 
 def check_loop_control(name, value):
     """Raise ConfigError unless the loop control ``name`` has a valid ``value``:
@@ -115,22 +119,25 @@ class SolverConfig:
                 positive(name, getattr(self, name), ConfigError)
 
 
-def preset_config(problem, preset, **overrides):
-    """Build a SolverConfig from a named step rule.
+def preset_config(problem, preset, solver, **overrides):
+    """Build the SolverConfig that ``solver`` runs under a named step rule.
 
     type-I:  lam = 1.9 / lambda_max(B B^T), sigma = 1 / ||B||^2, tau = 1.
     type-II: lam = 1 / lambda_max(B B^T),  sigma = tau = 1 / ||B||.
-    custom:  only the step sizes given in ``overrides``.
+    custom:  only the step sizes given in ``overrides``, as given.
 
     lambda_max(B B^T) is the problem's conventional ``b_lam_max`` when set,
-    otherwise ``B.norm_sq``, and ||B|| is its square root; gamma defaults to
-    the problem's suggested value or 1.9/L.
+    otherwise ``B.norm_sq * (1 + _PRESET_MARGIN)``, so that sigma tau ||B||^2 < 1
+    holds strictly, and ||B|| is its square root; gamma defaults to the problem's
+    suggested value or 1.9/L.  Under type-I and type-II, a single-loop solver that a
+    nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
+    takes that nested solver's steps through the map.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
     params = {}
     if preset != "custom":
-        lam_max = problem.b_lam_max if problem.b_lam_max is not None else problem.B.norm_sq
+        lam_max = problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN)
         norm_b = math.sqrt(lam_max)
         if preset == "type-I":
             params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
@@ -145,7 +152,9 @@ def preset_config(problem, preset, **overrides):
             gamma = 1.9 / lip
         params["gamma"] = gamma
     params.update(overrides)
-    return SolverConfig(param_preset=preset, **params)
+    config = SolverConfig(param_preset=preset, **params)
+    maps = [row.to_single for row in _TABLE.values() if row.single == solver and row.to_single]
+    return maps[0](config) if maps and preset != "custom" else config
 
 
 @dataclass

@@ -97,7 +97,7 @@ def test_criterion_5_fused_lasso_desk_reproduction():
     p = build_fused_lasso(seed=0)  # m=100 n=200 mu1=0.2 mu2=0.8
     type2 = {}
     for name, solver in FOUR_ALGORITHMS.items():
-        type2[name] = solver(p, preset_config(p, "type-II", eps=1e-8))
+        type2[name] = solver(p, preset_config(p, "type-II", name, eps=1e-8))
     all_converged = all(t.converged and t.total_outer <= 5000 for t in type2.values())
     nmsds = [t.final_record.nmsd for t in type2.values()]
     snrs = [t.final_record.snr for t in type2.values()]
@@ -108,7 +108,7 @@ def test_criterion_5_fused_lasso_desk_reproduction():
 
     # type-I: primal-dual pair must converge; the dual pair may hit MAXITER
     pd_converged = all(
-        FOUR_ALGORITHMS[n](p, preset_config(p, "type-I", eps=1e-8)).converged
+        FOUR_ALGORITHMS[n](p, preset_config(p, "type-I", n, eps=1e-8)).converged
         for n in ("fb-pd", "tos-pd")
     )
     elapsed = time.monotonic() - t0
@@ -124,13 +124,13 @@ def test_criterion_6_inner_iteration_trend():
     p = build_fused_lasso(seed=0)
     # at one inner iteration the type-I dual pair stalls at the cap
     stalled = [
-        not FOUR_ALGORITHMS[n](p, preset_config(p, "type-I", eps=1e-8)).converged
+        not FOUR_ALGORITHMS[n](p, preset_config(p, "type-I", n, eps=1e-8)).converged
         for n in ("fb-dual", "tos-dual")
     ]
     counts = {}
     for j in (2, 10, 20):
         for name in ("fb-dual", "tos-dual"):
-            tr = FOUR_ALGORITHMS[name](p, preset_config(p, "type-I", eps=1e-8, inner_iters=j))
+            tr = FOUR_ALGORITHMS[name](p, preset_config(p, "type-I", name, eps=1e-8, inner_iters=j))
             if not tr.converged:
                 report(6, False, f"{name} J={j} failed to converge")
             counts[(name, j)] = tr.total_outer

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from splitopt.metrics import snr, ssim_global
-from splitopt.operators import BlurDownsample, DenseMatrix, Difference1D, Gradient2D, SparseMatrix
+from splitopt.operators import (
+    BlurDownsample,
+    DenseMatrix,
+    Difference1D,
+    Gradient2D,
+    Identity,
+    SparseMatrix,
+)
 from splitopt.problems import (
     build_ct_problem,
     build_fused_lasso,
@@ -47,6 +54,14 @@ CASES = {
                   "rows must be an integer >= 1, got 0"),
     "gradient-rows": (lambda: Gradient2D(1, 4), ValueError,
                       "rows must be an integer >= 2, got 1"),
+    "gradient-float-rows": (lambda: Gradient2D(4.5, 4), ValueError,
+                            "rows must be an integer >= 2, got 4.5"),
+    "operator-in-dim": (lambda: Identity(3.7), ValueError,
+                        "in_dim must be an integer >= 1, got 3.7"),
+    "operator-out-dim": (lambda: SparseMatrix(2.9, 3, [0, 1], [0, 1], [1.0, 1.0]), ValueError,
+                         "out_dim must be an integer >= 1, got 2.9"),
+    "nuclear-shape": (lambda: NuclearNorm(1.0, (3, 4.0)), ValueError,
+                      "matrix cols must be an integer >= 1, got 4.0"),
     "dynamic-range": (lambda: ssim_global(np.zeros(4), np.zeros(4), NAN), ValueError,
                       "dynamic range must be positive and finite, got nan"),
     "ct-views": (lambda: build_ct_problem(views=0), ValueError,

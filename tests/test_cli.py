@@ -130,9 +130,9 @@ class TestRun:
         seen = []
         real = cli.preset_config
 
-        def spy(problem, preset, **overrides):
+        def spy(problem, preset, solver, **overrides):
             seen.append(overrides)
-            return real(problem, preset, **overrides)
+            return real(problem, preset, solver, **overrides)
 
         monkeypatch.setattr(cli, "preset_config", spy)
         out = tmp_path / "results"
@@ -176,6 +176,23 @@ class TestRun:
         cfg = write_config(tmp_path, text)
         assert cli.main(["run", cfg]) == 0
         assert (out / "custom" / "fused-lasso_fb-dual_J1_eps0.0001.csv").exists()
+
+    def test_condat_vu_runs_the_preset_steps_of_fb_pd(self, tmp_path):
+        # at one inner step fb-pd is Condat-Vu: under a preset condat-vu takes fb-pd's
+        # steps through the solver table's map, so each of its cells stops where fb-pd's
+        # does (it exited 6: 1/tau - sigma ||B||^2 was near 0, against L/2)
+        out = tmp_path / "results"
+        text = TINY_CONFIG.format(out=out).replace(
+            "solvers = fb-dual, tos-pd", "solvers = fb-pd, condat-vu").replace(
+            "presets = type-II", "presets = type-I, type-II").replace(
+            "eps = 1e-4", "eps = 1e-4, 1e-8")
+        assert cli.main(["run", write_config(tmp_path, text)]) == 0
+        iters = {}
+        for row in (out / "summary.csv").read_text().splitlines()[1:]:
+            _, preset, solver, _, eps, count, *_ = row.split(",")
+            iters.setdefault((preset, eps), {})[solver] = count
+        assert len(iters) == 4
+        assert all(cell["fb-pd"] == cell["condat-vu"] != "MAXITER" for cell in iters.values())
 
     def test_default_fused_lasso_sweep_has_sixteen_cells(self, tmp_path, capsys):
         # the reference layout: 4 solvers x 2 presets x 2 tolerances
@@ -311,14 +328,15 @@ class TestExitCodes:
         ) + "\n[custom]\nlambda = 0.25\n"
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
 
-    @pytest.mark.parametrize("solvers, cell, reason", [
-        ("fb-dual, condat-vu", "type-II condat-vu J=1 eps=1e-06",
+    @pytest.mark.parametrize("solvers, presets, cell, reason", [
+        # condat-vu is admitted under type-II, and takes [custom] steps as given
+        ("fb-dual, condat-vu", "type-II, custom", "custom condat-vu J=1 eps=1e-06",
          "1/tau - sigma ||B||^2 = "),
-        ("davis-yin", "type-II davis-yin J=1 eps=1e-06",
+        ("davis-yin", "type-II", "type-II davis-yin J=1 eps=1e-06",
          "davis-yin requires B = identity, got difference-1d"),
     ], ids=["fb-dual-then-condat-vu", "davis-yin"])
-    def test_bad_pairing_leaves_the_output_directory_as_it_was(self, tmp_path, capsys,
-                                                               solvers, cell, reason):
+    def test_bad_pairing_leaves_the_output_directory_as_it_was(self, tmp_path, capsys, solvers,
+                                                               presets, cell, reason):
         out = tmp_path / "r"
         valid = TINY_CONFIG.format(out=out).replace("max_outer = 4000", "max_outer = 50")
         assert cli.main(["run", write_config(tmp_path, valid, "valid.ini")]) == 0
@@ -328,7 +346,8 @@ class TestExitCodes:
 
         before = snapshot()
         text = valid.replace("solvers = fb-dual, tos-pd", f"solvers = {solvers}").replace(
-            "eps = 1e-4", "eps = 1e-6")
+            "presets = type-II", f"presets = {presets}").replace("eps = 1e-4", "eps = 1e-6")
+        text += "\n[custom]\nlambda = 0.25\nsigma = 0.25\ntau = 1.0\n"
         capsys.readouterr()
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_BAD_PAIRING
         assert snapshot() == before

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.solvers import _TABLE, SOLVERS, ConfigError, check_steps, preset_config
+from splitopt.solvers import SOLVERS, ConfigError, check_steps, preset_config
 from splitopt.verification import _identity_b_problem
 
 PATH = Path(__file__).with_name("fingerprint.txt")
@@ -30,23 +30,17 @@ FAMILIES = {
 }
 
 
-def _config(problem, solver):
-    # type-II steps at J = 3; condat-vu takes the steps of fb-pd, mapped as fb-pd's row maps them
-    c = preset_config(problem, "type-II", inner_iters=3, eps=1e-300, max_outer=ITERS[-1],
-                      record_iterates=True)
-    return _TABLE["fb-pd"].to_single(c) if solver == "condat-vu" else c
-
-
 def fingerprint(family):
     """``(family, solver, iteration) -> (objective, ||x||)`` as float.hex strings,
     for every solver whose steps the family's instance admits."""
     problem = FAMILIES[family]()
     rows = {}
     for solver in SOLVERS:
-        config = _config(problem, solver)
+        config = preset_config(problem, "type-II", solver, inner_iters=3, eps=1e-300,
+                               max_outer=ITERS[-1], record_iterates=True)
         try:
             check_steps(solver, problem, config)
-        except ConfigError:  # davis-yin needs B = I; on B = I, type-II's sigma tau ||B||^2 is 1
+        except ConfigError:  # davis-yin needs B = I
             continue
         trace = SOLVERS[solver](problem, config)
         for k in ITERS:

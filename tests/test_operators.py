@@ -111,7 +111,7 @@ class TestApply:
     ], ids=["identity", "difference-1d", "gradient-2d", "sparse-matrix"])
     def test_non_integer_dimensions_rejected(self, build):
         # a float dimension is not truncated: Identity(3.7) must not be the 3-dim identity
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="must be an integer >= "):
             build()
 
     def test_dimension_mismatch_message(self):

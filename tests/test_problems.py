@@ -201,7 +201,7 @@ class TestFusedLassoInstance:
 
     def test_ground_truth_objective_close_to_converged(self):
         p = build_fused_lasso(seed=0)
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-8))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-8))
         ratio = p.objective(p.ground_truth) / tr.final_record.objective
         assert 1.0 <= ratio <= 1.10
 

@@ -143,7 +143,7 @@ class TestProxValues:
                              ids=["float-rows", "integral-float-cols", "zero-rows", "nan-cols"])
     def test_nuclear_shape_must_be_integers(self, shape):
         # a float shape is not truncated: (3.7, 4) must not become a 3x4 matrix
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="^matrix (rows|cols) must be an integer >= 1, got "):
             NuclearNorm(1.0, shape)
         assert NuclearNorm(1.0, (np.int64(3), 4)).shape == (3, 4)
 

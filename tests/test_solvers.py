@@ -29,6 +29,7 @@ from splitopt.solvers import (
     solve_tos_dual,
     solve_tos_pd_single,
 )
+from splitopt.verification import _identity_b_problem
 
 
 def quadratic_identity_problem(n=8, seed=0):
@@ -178,7 +179,7 @@ class TestDegenerateReductions:
         # x - gamma grad f(x) at x = z, as the forward-backward step does, and
         # records x = z before the step: tos iterate k+1 is fb iterate k
         p = build_fused_lasso(m=30, n=60, mu1=0.0, seed=7)
-        c = preset_config(p, "type-II", inner_iters=3, eps=1e-300, max_outer=201,
+        c = preset_config(p, "type-II", fb, inner_iters=3, eps=1e-300, max_outer=201,
                           record_iterates=True)
         fb_iterates = SOLVERS[fb](p, dataclasses.replace(c, max_outer=200)).iterates
         tos_iterates = SOLVERS[tos](p, c).iterates
@@ -381,30 +382,31 @@ class TestConfigValidation:
 
     def test_presets_match_their_step_rules(self):
         p = small_lasso()
-        c1 = preset_config(p, "type-I")
+        c1 = preset_config(p, "type-I", "fb-pd")
         assert c1.lam == pytest.approx(1.9 / 4.0)
         assert c1.sigma == pytest.approx(0.25) and c1.tau == 1.0
-        c2 = preset_config(p, "type-II")
+        c2 = preset_config(p, "type-II", "fb-pd")
         assert c2.lam == pytest.approx(0.25)
         assert c2.sigma == pytest.approx(0.5) and c2.tau == pytest.approx(0.5)
         assert c2.gamma == pytest.approx(1.9 / p.f.lipschitz)
         with pytest.raises(ConfigError):
-            preset_config(p, "type-III")
+            preset_config(p, "type-III", "fb-pd")
         # the 2-d gradient's conventional lambda_max = 8, pinned to the bit:
         # ||B|| = sqrt(8) and ||B||^2 = 8.000000000000002, not 8
         for build in (build_ct_problem, build_lrtv_problem):
             p = build()
             assert p.b_lam_max == 8.0
-            c1 = preset_config(p, "type-I", gamma=0.1)
+            c1 = preset_config(p, "type-I", "fb-pd", gamma=0.1)
             assert (c1.lam, c1.sigma, c1.tau) == (0.2375, 0.12499999999999997, 1.0)
-            c2 = preset_config(p, "type-II", gamma=0.1)
+            c2 = preset_config(p, "type-II", "fb-pd", gamma=0.1)
             assert (c2.lam, c2.sigma, c2.tau) == (0.125, 0.35355339059327373, 0.35355339059327373)
 
 
 class TestStoppingAndTrace:
     def test_rel_change_definition(self):
         p = small_lasso()
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-6, record_iterates=True))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-6,
+                                            record_iterates=True))
         xs = tr.iterates
         for k in range(1, len(xs)):
             expected = np.linalg.norm(xs[k] - xs[k - 1]) / max(np.linalg.norm(xs[k - 1]), 1e-30)
@@ -413,7 +415,7 @@ class TestStoppingAndTrace:
     def test_converged_trace_ends_below_eps(self):
         p = small_lasso()
         for preset in ("type-I", "type-II"):
-            tr = solve_fb_primal_dual(p, preset_config(p, preset, eps=1e-7))
+            tr = solve_fb_primal_dual(p, preset_config(p, preset, "fb-pd", eps=1e-7))
             assert tr.converged
             assert tr.records[-1].rel_change <= 1e-7
 
@@ -422,27 +424,27 @@ class TestStoppingAndTrace:
         # the stopping test is rel_change <= eps: a rerun with eps set to the
         # rel_change it stopped at stops at the same iteration, every earlier
         # rel_change being above 1e-6 and so above that eps
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-6))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-6))
         k, rel = tr.total_outer, tr.records[-1].rel_change
-        again = solve_fb_dual(p, preset_config(p, "type-II", eps=rel))
+        again = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=rel))
         assert again.converged and again.total_outer == k and again.records[k - 1].rel_change == rel
 
     def test_maxiter_leaves_converged_false(self):
         p = small_lasso()
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-14, max_outer=20))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-14, max_outer=20))
         assert not tr.converged
         assert tr.total_outer == 20
 
     def test_trace_objective_is_monotone_enough(self):
         # not a theorem, but the recorded objective should head downhill overall
         p = small_lasso()
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-10))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-10))
         objs = [r.objective for r in tr.records]
         assert objs[-1] < objs[0]
 
     def test_metrics_recorded_with_ground_truth(self):
         p = small_lasso()
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-8))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-8))
         assert tr.records[-1].snr is not None and tr.records[-1].nmsd is not None
         assert tr.records[-1].ssim is None  # no dynamic range
 
@@ -451,7 +453,7 @@ class TestStoppingAndTrace:
         p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=np.ones(p.dim))
         monkeypatch.setattr(p.f, "gradient", lambda x: pytest.fail("a step was taken"))
         with pytest.raises(ValueError, match="constant"):
-            solve_fb_dual(p, preset_config(p, "type-II"))
+            solve_fb_dual(p, preset_config(p, "type-II", "fb-dual"))
 
     def test_non_finite_ground_truth_rejected_before_the_first_step(self, monkeypatch):
         # a NaN truth wrote snr = nan and nmsd = nan in every trace row
@@ -461,26 +463,26 @@ class TestStoppingAndTrace:
         p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=truth)
         monkeypatch.setattr(p.f, "gradient", lambda x: pytest.fail("a step was taken"))
         with pytest.raises(ValueError, match="^ground truth must be finite, got 1 that are not: nan at 5$"):
-            solve_fb_dual(p, preset_config(p, "type-II"))
+            solve_fb_dual(p, preset_config(p, "type-II", "fb-dual"))
 
     def test_ssim_recorded_with_dynamic_range(self):
         # a ground truth and a dynamic range are all SSIM needs: it is taken over flat vectors
         p = small_lasso()
         p = SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B, ground_truth=p.ground_truth,
                          dynamic_range=3.0)
-        tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-4))
+        tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-4))
         assert all(np.isfinite(r.ssim) for r in tr.records)
 
     def test_fixed_point_property(self):
         p = small_lasso()
         eps = 1e-9
         for name, solver in SOLVERS.items():
-            if name in ("davis-yin", "condat-vu"):
+            if name == "davis-yin":
                 continue
-            c = preset_config(p, "type-II", eps=eps, max_outer=20000)
+            c = preset_config(p, "type-II", name, eps=eps, max_outer=20000)
             tr = solver(p, c)
             assert tr.converged, name
-            one_more = solver(p, preset_config(p, "type-II", eps=eps, max_outer=1),
+            one_more = solver(p, preset_config(p, "type-II", name, eps=eps, max_outer=1),
                               **{k + "0": v for k, v in tr.final_state.items()})
             moved = np.linalg.norm(one_more.final_x - tr.final_x)
             assert moved < 10 * eps * max(np.linalg.norm(tr.final_x), 1.0), name
@@ -490,16 +492,11 @@ class TestCrossAlgorithmAgreement:
     def test_all_solvers_reach_the_same_point(self):
         p = small_lasso()
         eps = 1e-8
-        gamma = 1.9 / p.f.lipschitz
         finals = {}
         for name in ("fb-dual", "tos-dual", "pdfp", "pd3o"):
-            finals[name] = SOLVERS[name](p, preset_config(p, "type-II", eps=eps)).final_x
-        for name in ("fb-pd", "tos-pd", "tos-pd-single"):
-            finals[name] = SOLVERS[name](p, preset_config(p, "type-I", eps=eps)).final_x
-        finals["condat-vu"] = solve_condat_vu(
-            p, SolverConfig(gamma=gamma, sigma=0.25 / gamma, tau=gamma / 2, eps=eps,
-                            max_outer=20000),
-        ).final_x
+            finals[name] = SOLVERS[name](p, preset_config(p, "type-II", name, eps=eps)).final_x
+        for name in ("fb-pd", "tos-pd", "tos-pd-single", "condat-vu"):
+            finals[name] = SOLVERS[name](p, preset_config(p, "type-I", name, eps=eps)).final_x
         names = sorted(finals)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
@@ -518,8 +515,8 @@ class TestCrossAlgorithmAgreement:
         # the conservative step rule converges; the aggressive dual step may
         # stall at the iteration cap on the reference instance
         p = build_fused_lasso(seed=0)
-        assert solve_pdfp(p, preset_config(p, "type-II", eps=1e-8)).converged
-        assert not solve_pdfp(p, preset_config(p, "type-I", eps=1e-8)).converged
+        assert solve_pdfp(p, preset_config(p, "type-II", "pdfp", eps=1e-8)).converged
+        assert not solve_pdfp(p, preset_config(p, "type-I", "pdfp", eps=1e-8)).converged
 
 
 class TestStartState:
@@ -626,6 +623,40 @@ class TestStepBounds:
         assert SOLVERS[name](p, dataclasses.replace(c, **inside)).total_outer == 1
 
 
+def _without_b_lam_max():
+    p = build_fused_lasso(m=30, n=60, seed=1)
+    return SplitProblem(f=p.f, g=p.g, h=p.h, B=p.B)
+
+
+#: instance -> its builder: every built-in family, B = I, and one without b_lam_max
+PRESET_PROBLEMS = {
+    "fused-lasso": build_fused_lasso,
+    "constrained-tv-ct": build_ct_problem,
+    "lrtv-sr": build_lrtv_problem,
+    "identity-b": lambda: _identity_b_problem(seed=4),
+    "no-b-lam-max": _without_b_lam_max,
+}
+
+
+class TestPresetSteps:
+    @pytest.mark.parametrize("preset", ["type-I", "type-II"])
+    @pytest.mark.parametrize("instance", sorted(PRESET_PROBLEMS))
+    def test_every_solver_admits_its_preset_steps(self, instance, preset):
+        # where b_lam_max is absent, sigma tau ||B||^2 was exactly 1 (B = I, and type-I
+        # here without b_lam_max); condat-vu read fb-pd's steps unmapped, 1/tau - sigma
+        # ||B||^2 near 0 against L/2
+        p = PRESET_PROBLEMS[instance]()
+        rejected = {}
+        for name in SOLVERS:
+            if name == "davis-yin" and not isinstance(p.B, Identity):
+                continue
+            try:
+                check_steps(name, p, preset_config(p, preset, name))
+            except ConfigError as exc:
+                rejected[name] = str(exc)
+        assert rejected == {}
+
+
 class TestDivergenceDetection:
     class _BadGradient:
         # concave stub: gradient pushes the iterates to exponential blow-up
@@ -664,9 +695,7 @@ class TestDivergenceDetection:
             return prox(step, v) if len(calls) < 5 else np.full(len(v), np.nan)
 
         p.h.prox_conjugate = nan_from_the_fifth_call
-        c = preset_config(p, "type-II", eps=1e-30, max_outer=20)
-        if name == "condat-vu":
-            c = solvers._TABLE["fb-pd"].to_single(c)
+        c = preset_config(p, "type-II", name, eps=1e-30, max_outer=20)
         with pytest.raises(DivergenceError, match=r"outer iteration 5: non-finite [xyzv]$"):
             SOLVERS[name](p, c)
 
@@ -685,7 +714,7 @@ class TestInnerIterationCounts:
         p = build_fused_lasso(seed=0)
         counts = {}
         for j in (1, 2, 10, 20):
-            tr = solve_fb_dual(p, preset_config(p, "type-II", eps=1e-8, inner_iters=j))
+            tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-8, inner_iters=j))
             assert tr.converged
             counts[j] = tr.total_outer
         js = sorted(counts)
@@ -717,10 +746,7 @@ class TestCallCounts:
     @pytest.mark.parametrize("name", sorted(PER_ITER))
     def test_calls_per_outer_iteration(self, name):
         p = build_ct_problem(img_side=16, views=4, rays=12, seed=1)
-        c = preset_config(p, "custom", lam=0.125, sigma=0.125, tau=1.0, inner_iters=3,
-                          eps=1e-16, max_outer=7)
-        if name == "condat-vu":  # the steps of fb-pd, mapped as fb-pd's row maps them
-            c = solvers._TABLE["fb-pd"].to_single(c)
+        c = preset_config(p, "type-II", name, inner_iters=3, eps=1e-16, max_outer=7)
         counts = [0] * 6
         for i, (obj, method) in enumerate(((p.f.op, "apply"), (p.f.op, "adjoint_apply"),
                                            (p.B, "apply"), (p.B, "adjoint_apply"),
@@ -743,8 +769,8 @@ class TestCallCounts:
         monkeypatch.setattr(operators, "estimate_norm",
                             lambda op: estimated.append(op) or estimate_norm(op))
         p = build()
-        for solve in (solve_fb_dual, solve_fb_primal_dual):
-            solve(p, preset_config(p, "type-II", max_outer=1))
+        for name in ("fb-dual", "fb-pd"):
+            SOLVERS[name](p, preset_config(p, "type-II", name, max_outer=1))
         p.exact_b_norm()
         assert estimated == ([p.f.op] if estimates_a else [])
 

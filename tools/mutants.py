@@ -54,6 +54,12 @@ MUTANTS = [
      "value = state[0] if state and key != \"y\" else np.zeros(size)",
      "value = np.zeros(size)"),
     ("type-I lam 1.8", SOLVERS, "\"lam\": 1.9 / lam_max", "\"lam\": 1.8 / lam_max"),
+    ("preset margin dropped", SOLVERS,
+     "problem.B.norm_sq * (1.0 + _PRESET_MARGIN)", "problem.B.norm_sq"),
+    ("preset map not applied", SOLVERS,
+     "return maps[0](config) if maps and preset != \"custom\" else config", "return config"),
+    ("preset map applied to custom steps", SOLVERS,
+     "if maps and preset != \"custom\" else", "if maps else"),
     ("nuclear snap 1e-9", "src/splitopt/proxfuncs.py",
      "s[s < 1e-12] = 0.0", "s[s < 1e-9] = 0.0"),
     ("no MAXITER marker", "src/splitopt/cli.py",
