@@ -127,10 +127,6 @@ def _default_config(name):
 DEFAULT_CONFIGS = {name: _default_config(name) for name in _EXPERIMENTS}
 
 
-class CliConfigError(Exception):
-    pass
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -149,7 +145,7 @@ def _loop_list(run, key, conv):
 def _check_keys(parser, section, known):
     unknown = sorted(set(parser[section]) - set(known))
     if unknown:
-        raise CliConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def _read_config(path):
@@ -157,22 +153,22 @@ def _read_config(path):
     parser = configparser.ConfigParser(default_section=None)
     try:
         if not parser.read(path):
-            raise CliConfigError(f"cannot read config file {path!r}")
+            raise ConfigError(f"cannot read config file {path!r}")
         return _parse_config(parser)
     except configparser.Error as exc:  # a repeated key, no section header, bad interpolation
-        raise CliConfigError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_config(parser):
     unknown = sorted(set(parser.sections()) - {"experiment", "run", "custom"})
     if unknown:
-        raise CliConfigError(f"unknown section(s): {', '.join(f'[{s}]' for s in unknown)}")
+        raise ConfigError(f"unknown section(s): {', '.join(f'[{s}]' for s in unknown)}")
     if "experiment" not in parser or "run" not in parser:
-        raise CliConfigError("config needs [experiment] and [run] sections")
+        raise ConfigError("config needs [experiment] and [run] sections")
     experiment, run = parser["experiment"], parser["run"]
     name = experiment.get("name", "").strip()
     if name not in _EXPERIMENTS:
-        raise CliConfigError(f"unknown experiment {name!r}")
+        raise ConfigError(f"unknown experiment {name!r}")
     defaults = _EXPERIMENT_DEFAULTS[name]
     _check_keys(parser, "experiment", ["name", *defaults])
     _check_keys(parser, "run", _RUN_KEYS)
@@ -196,22 +192,22 @@ def _parse_config(parser):
     }
     for key in ("solvers", "presets", "inner_iters", "eps"):
         if not cfg[key]:
-            raise CliConfigError(f"[run] {key} list is empty")
+            raise ConfigError(f"[run] {key} list is empty")
     for key in ("inner_iters", "eps"):
         for value in cfg[key]:
             check_loop_control(key, value)
     check_loop_control("max_outer", cfg["max_outer"])
     for preset in cfg["presets"]:
         if preset not in PRESETS:
-            raise CliConfigError(f"unknown preset {preset!r}")
+            raise ConfigError(f"unknown preset {preset!r}")
         if preset == "custom" and cfg["custom"] is None:
-            raise CliConfigError("preset 'custom' needs a [custom] section")
+            raise ConfigError("preset 'custom' needs a [custom] section")
     # cells are named by preset, solver id, J and eps formatted with :g
     for key, items in (("presets", cfg["presets"]), ("solvers", cfg["solvers"]),
                        ("inner_iters", cfg["inner_iters"]),
                        ("eps", [f"{e:g}" for e in cfg["eps"]])):
         if len(set(items)) < len(items):
-            raise CliConfigError(f"[run] {key} repeats a value, so two sweep cells "
+            raise ConfigError(f"[run] {key} repeats a value, so two sweep cells "
                                  "would write the same file")
     return cfg
 
@@ -255,7 +251,7 @@ def cmd_run(args):
                       file=sys.stderr)
                 return EXIT_UNKNOWN_SOLVER
         problem = _builder(cfg["experiment"])(**cfg["params"])
-    except (CliConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
