@@ -16,16 +16,17 @@ solvers, presets, inner_iters or eps list, or text that is not valid INI.
 The environment variable SPLITOPT_OUTPUT_DIR overrides the output directory.
 
 Exit codes: 0 success; 1 malformed config; 2 solver divergence;
-3 verification failure; 4 unwritable output directory; 5 unknown solver id
-(decided before the instance is built); 6 invalid preset/solver pairing in
-a cell (decided for every cell before anything is written, so before 4).
+3 verification failure; 4 unwritable output path (probed before the first
+solve, or found blocked mid-sweep); 5 unknown solver id (decided before the
+instance is built); 6 invalid preset/solver pairing in a cell (decided for
+every cell before anything is written, so before 4).
 
 Each sweep cell (preset, solver, inner-iteration count, tolerance) writes a
 trace CSV ``<experiment>_<solver>_J<j>_eps<eps>.csv`` in a per-preset
 subdirectory and a ``summary.csv`` row, whose Iter reads MAXITER when the
 solver hit its iteration cap without converging.  The old summary goes before
-the first cell, so a divergence (exit 2) stops a sweep part-way with the
-earlier cells' CSVs and no summary.  Writes are atomic, reruns byte-identical.
+the first cell, so a sweep stopped part-way (exit 2 or 4) leaves the earlier
+cells' CSVs and no summary.  Writes are atomic, reruns byte-identical.
 """
 
 import argparse
@@ -272,7 +273,8 @@ def cmd_run(args):
 
     out_dir = os.environ.get(ENV_OUTPUT_DIR) or cfg["output_dir"]
     summary_path = os.path.join(out_dir, "summary.csv")
-    try:
+    summary_lines = ["experiment,preset,solver,inner_iters,eps,iters,objective,nmsd,snr,ssim"]
+    try:  # the probe, then every cell's writes: an OSError is exit 4
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
         with open(probe, "w") as fh:
@@ -280,29 +282,27 @@ def cmd_run(args):
         os.unlink(probe)
         if os.path.exists(summary_path):  # a sweep that stops part-way leaves no stale summary
             os.unlink(summary_path)
+        for preset, solver_id, inner, eps, label, solver_cfg in cells:
+            try:
+                trace = SOLVERS[solver_id](problem, solver_cfg)
+            except DivergenceError as exc:
+                print(f"divergence: {exc}", file=sys.stderr)
+                return EXIT_DIVERGENCE
+            preset_dir = os.path.join(out_dir, preset)
+            os.makedirs(preset_dir, exist_ok=True)
+            fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
+            _atomic_write(os.path.join(preset_dir, fname), _trace_csv(trace))
+            last = trace.final_record
+            iters = str(trace.total_outer) if trace.converged else "MAXITER"
+            summary_lines.append(",".join([
+                cfg["experiment"], preset, solver_id, str(inner), f"{eps:g}", iters,
+                _fmt(last.objective), _fmt(last.nmsd), _fmt(last.snr), _fmt(last.ssim),
+            ]))
+            print(f"{label}: iters={iters} objective={last.objective:.9g}")
+        _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     except OSError as exc:
         print(f"output directory {out_dir!r} is not writable: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_DIR
-
-    summary_lines = ["experiment,preset,solver,inner_iters,eps,iters,objective,nmsd,snr,ssim"]
-    for preset, solver_id, inner, eps, label, solver_cfg in cells:
-        try:
-            trace = SOLVERS[solver_id](problem, solver_cfg)
-        except DivergenceError as exc:
-            print(f"divergence: {exc}", file=sys.stderr)
-            return EXIT_DIVERGENCE
-        preset_dir = os.path.join(out_dir, preset)
-        os.makedirs(preset_dir, exist_ok=True)
-        fname = f"{cfg['experiment']}_{solver_id}_J{inner}_eps{eps:g}.csv"
-        _atomic_write(os.path.join(preset_dir, fname), _trace_csv(trace))
-        last = trace.final_record
-        iters = str(trace.total_outer) if trace.converged else "MAXITER"
-        summary_lines.append(",".join([
-            cfg["experiment"], preset, solver_id, str(inner), f"{eps:g}", iters,
-            _fmt(last.objective), _fmt(last.nmsd), _fmt(last.snr), _fmt(last.ssim),
-        ]))
-        print(f"{label}: iters={iters} objective={last.objective:.9g}")
-    _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     return EXIT_OK
 
 

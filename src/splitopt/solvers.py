@@ -131,10 +131,11 @@ def preset_config(problem, preset, solver, **overrides):
     holds strictly, and ||B|| is its square root; gamma defaults to the problem's
     suggested value or 1.9/L.  Under type-I and type-II, a single-loop solver that a
     nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
-    takes that nested solver's steps through the map.
+    takes that nested solver's steps through the map.  An unknown id raises ConfigError.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
+    _row(solver)
     params = {}
     if preset != "custom":
         lam_max = problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN)
@@ -190,10 +191,10 @@ class SolveTrace:
 # ---------------------------------------------------------------------------
 
 def check_steps(solver, problem, config):
-    """Raise ConfigError unless ``config`` carries the steps ``solver`` reads,
-    gamma in (0, 2/L) if it reads gamma, and they meet the condition in its
-    row of ``_TABLE`` (a message when not).  Return the problem's f, g, h, B."""
-    row = _TABLE[solver]
+    """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries
+    the steps it reads, gamma in (0, 2/L) if it reads gamma, and they meet the row's
+    condition (a message when not).  Return the problem's f, g, h, B."""
+    row = _row(solver)
     lip = problem.f.lipschitz
     if "gamma" in row.steps and lip > 0 and not config.gamma < 2.0 / lip:
         raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
@@ -204,6 +205,12 @@ def check_steps(solver, problem, config):
     if message:
         raise ConfigError(message)
     return problem.f, problem.g, problem.h, problem.B
+
+
+def _row(solver):
+    if solver not in _TABLE:
+        raise ConfigError(f"unknown solver id {solver!r}; known: {', '.join(sorted(_TABLE))}")
+    return _TABLE[solver]
 
 
 def _lam_condition(problem, config):

@@ -1,7 +1,7 @@
 """The full message and exception type of every argument check, pinned.
 
-Each check lives in ``splitopt._checks``; this table calls it through the
-public entry point where the input enters.
+Most checks live in ``splitopt._checks``; this table calls each check through
+the public entry point where the input enters.
 """
 
 import dataclasses
@@ -19,16 +19,28 @@ from splitopt.operators import (
     SparseMatrix,
 )
 from splitopt.problems import (
+    SplitProblem,
     build_ct_problem,
     build_fused_lasso,
     build_lrtv_problem,
     fan_beam_rays,
 )
-from splitopt.proxfuncs import L1Norm, NuclearNorm
-from splitopt.smooth import LeastSquares
-from splitopt.solvers import ConfigError, SolverConfig, check_loop_control
+from splitopt.proxfuncs import BoxIndicator, L1Norm, NuclearNorm, ZeroFunction
+from splitopt.smooth import LeastSquares, ZeroSmooth
+from splitopt.solvers import (ConfigError, SolverConfig, check_loop_control, check_steps,
+                              preset_config)
 
 NAN, INF = float("nan"), float("inf")
+
+#: the solver ids, as the CLI's exit-5 line and ConfigError list them
+KNOWN = ("condat-vu, davis-yin, fb-dual, fb-pd, pd3o, pdfp, tos-dual, tos-pd, "
+         "tos-pd-single")
+
+
+def _l0_problem():
+    """f = 0 (L = 0) and no suggested gamma, so a preset cannot derive one."""
+    return SplitProblem(f=ZeroSmooth(4), g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
+
 
 #: case id -> (call, exception type, full message)
 CASES = {
@@ -90,6 +102,20 @@ CASES = {
                               "reconstruction has 4 entries, expected 3"),
     "target-length": (lambda: LeastSquares(Difference1D(4), np.zeros(4)), ValueError,
                       "target has 4 entries, expected 3"),
+    "view-angles-empty": (lambda: fan_beam_rays(16, [], 8), ValueError,
+                          "degenerate scan geometry: no view angles"),
+    "dense-1d": (lambda: DenseMatrix([1.0, 2.0]), ValueError,
+                 "dense operator needs a 2-d array"),
+    "box-empty": (lambda: BoxIndicator(1, 0), ValueError, "empty box: [1, 0]"),
+    "box-nan": (lambda: BoxIndicator(NAN, 1.0), ValueError, "empty box: [nan, 1.0]"),
+    "preset-gamma-l0": (lambda: preset_config(_l0_problem(), "type-II", "fb-dual"), ConfigError,
+                        "cannot derive gamma for a problem with L = 0; pass gamma="),
+    "preset-solver-id": (
+        lambda: preset_config(build_fused_lasso(m=3, n=6), "type-II", "condat_vu"), ConfigError,
+        f"unknown solver id 'condat_vu'; known: {KNOWN}"),
+    "check-steps-solver-id": (
+        lambda: check_steps("condat_vu", _l0_problem(), SolverConfig(gamma=1.0)), ConfigError,
+        f"unknown solver id 'condat_vu'; known: {KNOWN}"),
     "problem-x0-length": (
         lambda: dataclasses.replace(build_fused_lasso(m=3, n=6), x0=np.zeros(5)), ValueError,
         "x0 has 5 entries, expected 6"),

@@ -314,6 +314,34 @@ class TestExitCodes:
         text = TINY_CONFIG.format(out=blocker / "sub")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_OUTPUT_DIR
 
+    @pytest.mark.parametrize("settings, blocker, kept", [
+        # a plain file where type-II's preset directory goes, after a type-I cell
+        ({"presets = type-II": "presets = type-I, type-II",
+          "solvers = fb-dual, tos-pd": "solvers = fb-dual"},
+         "type-II", "type-I/fused-lasso_fb-dual_J1_eps0.0001.csv"),
+        # a directory where tos-pd's trace CSV goes, after the fb-dual cell
+        ({}, "type-II/fused-lasso_tos-pd_J1_eps0.0001.csv/",
+         "type-II/fused-lasso_fb-dual_J1_eps0.0001.csv"),
+    ], ids=["preset-dir-is-a-file", "trace-csv-is-a-dir"])
+    def test_path_blocked_mid_sweep(self, tmp_path, capsys, settings, blocker, kept):
+        out = tmp_path / "r"
+        path = out / blocker
+        if blocker.endswith("/"):
+            path.mkdir(parents=True)
+        else:
+            out.mkdir()
+            path.write_text("a plain file, not a directory")
+        text = TINY_CONFIG.format(out=out)
+        for old, new in settings.items():
+            text = text.replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_OUTPUT_DIR
+        assert capsys.readouterr().err.startswith(f"output directory {str(out)!r} is not "
+                                                  "writable: ")
+        # the earlier cell's CSV stays, and no summary or temporary file is left
+        assert (out / kept).exists()
+        assert not (out / "summary.csv").exists()
+        assert not list(out.rglob("*.tmp"))
+
     def test_bad_pairing_is_decided_before_the_output_directory(self, tmp_path):
         # a directory that cannot be made and a cell davis-yin rejects: exit 6, not 4
         blocker = tmp_path / "blocked"
@@ -455,6 +483,21 @@ class TestExitCodes:
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and section.split("\n")[0] in err
+        assert builds == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[run]\n", "[custom]\n", "config needs [experiment] and [run] sections"),
+        ("presets = type-II", "presets = type-III", "unknown preset 'type-III'"),
+        ("presets = type-II", "presets = custom", "preset 'custom' needs a [custom] section"),
+    ], ids=["no-run-section", "unknown-preset", "custom-without-section"])
+    def test_run_section_fault_rejected_before_the_build(self, tmp_path, monkeypatch, capsys,
+                                                         old, new, message):
+        builds = count_builds(monkeypatch, "build_fused_lasso")
+        out = tmp_path / "r"
+        text = TINY_CONFIG.format(out=out).replace(old, new)
+        assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert builds == []
         assert not out.exists()
 
