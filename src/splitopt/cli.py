@@ -209,7 +209,7 @@ def _parse_config(parser):
                        ("eps", [f"{e:g}" for e in cfg["eps"]])):
         if len(set(items)) < len(items):
             raise ConfigError(f"[run] {key} repeats a value, so two sweep cells "
-                                 "would write the same file")
+                              "would write the same file")
     return cfg
 
 
