@@ -41,7 +41,7 @@ import tempfile
 # the builders are module attributes that _EXPERIMENTS names
 from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem  # noqa: F401
 from .solvers import (PRESETS, SOLVERS, ConfigError, DivergenceError, SolverConfig,
-                      check_loop_control, check_steps, preset_config)
+                      check_loop_control, check_solver, check_steps, preset_config)
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -129,9 +129,7 @@ DEFAULT_CONFIGS = {name: _default_config(name) for name in _EXPERIMENTS}
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+    return "" if value is None else f"{value:.17g}"
 
 
 def _parse_list(raw, conv):
@@ -231,10 +229,7 @@ def _atomic_write(path, text):
 
 def _trace_csv(trace):
     with_ssim = trace.final_record.ssim is not None
-    header = "iter,objective,rel_change,snr,nmsd"
-    if with_ssim:
-        header += ",ssim"
-    lines = [header]
+    lines = ["iter,objective,rel_change,snr,nmsd" + (",ssim" if with_ssim else "")]
     for r in trace.records:
         row = [str(r.k), _fmt(r.objective), _fmt(r.rel_change), _fmt(r.snr), _fmt(r.nmsd)]
         if with_ssim:
@@ -247,9 +242,10 @@ def cmd_run(args):
     try:
         cfg = _read_config(args.config)
         for solver_id in cfg["solvers"]:  # before the build, which can be costly
-            if solver_id not in SOLVERS:
-                print(f"unknown solver id {solver_id!r}; known: {', '.join(sorted(SOLVERS))}",
-                      file=sys.stderr)
+            try:
+                check_solver(solver_id)
+            except ConfigError as exc:
+                print(exc, file=sys.stderr)
                 return EXIT_UNKNOWN_SOLVER
         problem = _builder(cfg["experiment"])(**cfg["params"])
     except ValueError as exc:  # ConfigError included

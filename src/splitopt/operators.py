@@ -262,14 +262,13 @@ def _gaussian_kernel(sigma):
 
 
 def _blur_matrix(n, kernel):
-    # dense 1-d convolution matrix with symmetric (reflective) boundary
-    r = (len(kernel) - 1) // 2
-    m = np.zeros((n, n))
+    # read-only dense 1-d convolution matrix, symmetric (reflective) boundary: src is
+    # the source pixel of each padded position, column j convolves (src == j)
+    src = np.pad(np.arange(n), (len(kernel) - 1) // 2, mode="symmetric")
+    m = np.empty((n, n))
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        padded = np.pad(e, r, mode="symmetric") if r else e
-        m[:, j] = np.convolve(padded, kernel, mode="valid")
+        m[:, j] = np.convolve((src == j).astype(float), kernel, mode="valid")
+    m.flags.writeable = False
     return m
 
 
@@ -281,10 +280,12 @@ class BlurDownsample(LinearMap):
     are symmetric, so each 1-d blur matrix is nonnegative with unit row and
     column sums: its norm is 1 (Schur test), attained by constants.  Block
     averaging has norm 1/factor, attained by a constant image too, so
-    ``norm_sq`` is exactly 1 / factor^2.  The blur matrices are materialized
-    once per axis.  The adjoint is the exact transpose, not an interpolator:
-    it replicates each low-resolution pixel over its block, divides by
-    factor^2 and applies the transposed blur.
+    ``norm_sq`` is exactly 1 / factor^2.  Each side's blur matrix is built
+    once from its padded pixel indices, in O(n + r) memory beyond itself (side
+    n, kernel radius r), and a square image shares one read-only matrix.  The
+    adjoint is the exact transpose, not an interpolator: it replicates each
+    low-resolution pixel over its block, divides by factor^2 and applies the
+    transposed blur.
     ``sigma = 0`` means no blur and ``factor = 1`` means no averaging.
     """
 
@@ -304,7 +305,7 @@ class BlurDownsample(LinearMap):
         self.factor = factor
         kernel = _gaussian_kernel(sigma)
         self._m_rows = _blur_matrix(rows, kernel)
-        self._m_cols = _blur_matrix(cols, kernel)
+        self._m_cols = self._m_rows if cols == rows else _blur_matrix(cols, kernel)
 
     @property
     def norm_sq(self):

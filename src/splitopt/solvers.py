@@ -49,6 +49,7 @@ __all__ = [
     "ConfigError",
     "PRESETS",
     "check_loop_control",
+    "check_solver",
     "check_steps",
     "preset_config",
     "solve_fb_dual",
@@ -135,7 +136,7 @@ def preset_config(problem, preset, solver, **overrides):
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
-    _row(solver)
+    check_solver(solver)
     params = {}
     if preset != "custom":
         lam_max = problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN)
@@ -194,7 +195,7 @@ def check_steps(solver, problem, config):
     """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries
     the steps it reads, gamma in (0, 2/L) if it reads gamma, and they meet the row's
     condition (a message when not).  Return the problem's f, g, h, B."""
-    row = _row(solver)
+    row = check_solver(solver)
     lip = problem.f.lipschitz
     if "gamma" in row.steps and lip > 0 and not config.gamma < 2.0 / lip:
         raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
@@ -207,7 +208,8 @@ def check_steps(solver, problem, config):
     return problem.f, problem.g, problem.h, problem.B
 
 
-def _row(solver):
+def check_solver(solver):
+    """Return the ``_TABLE`` row of ``solver``; raise ConfigError naming the known ids if none."""
     if solver not in _TABLE:
         raise ConfigError(f"unknown solver id {solver!r}; known: {', '.join(sorted(_TABLE))}")
     return _TABLE[solver]
@@ -269,7 +271,7 @@ def _run(problem, config, solver, step, start):
         ref = Reference(problem.ground_truth, problem.dynamic_range)
     for k in range(1, config.max_outer + 1):
         state, x = step(state)
-        for key, value in (("x", x), *zip(keys, state)):
+        for key, value in {"x": x, **dict(zip(keys, state))}.items():  # state "x" is x
             if not np.all(np.isfinite(value)):
                 raise DivergenceError(solver, k, f"non-finite {key}")
         obj = problem.objective(x)

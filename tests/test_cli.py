@@ -283,9 +283,12 @@ class TestExitCodes:
         text = TINY_CONFIG.format(out=tmp_path).replace("name = fused-lasso", "name = mystery")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
 
-    def test_unknown_solver_id(self, tmp_path):
+    def test_unknown_solver_id(self, tmp_path, capsys):
         text = TINY_CONFIG.format(out=tmp_path).replace("fb-dual, tos-pd", "fb-dual, nonsense")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_UNKNOWN_SOLVER
+        assert capsys.readouterr().err == (
+            "unknown solver id 'nonsense'; known: condat-vu, davis-yin, fb-dual, fb-pd, pd3o, "
+            "pdfp, tos-dual, tos-pd, tos-pd-single\n")
 
     def test_unknown_solver_id_rejected_before_the_build(self, tmp_path, monkeypatch):
         builds = count_builds(monkeypatch, "build_ct_problem")

@@ -260,6 +260,19 @@ class TestGradient2D:
             Gradient2D(1, 5)
 
 
+def blur_matrix_oracle(n, kernel):
+    # the blur matrix as BlurDownsample first built it: one np.pad of a unit
+    # vector and one convolution per column
+    r = (len(kernel) - 1) // 2
+    m = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        padded = np.pad(e, r, mode="symmetric") if r else e
+        m[:, j] = np.convolve(padded, kernel, mode="valid")
+    return m
+
+
 class TestBlurDownsample:
     def test_preserves_constants(self):
         op = BlurDownsample(8, 8, 1.0, 2)
@@ -306,6 +319,27 @@ class TestBlurDownsample:
                 for axis in (0, 1):
                     dev = np.abs(m.sum(axis=axis) - 1.0).max()
                     assert dev <= 1e-14, (n, sigma, axis, dev)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 1.0, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 32, 64])
+    def test_blur_matrix_matches_the_per_column_pad(self, n, sigma):
+        # at sigma 3 and 5 the kernel radius (9, 15) exceeds the smaller sides,
+        # so the index padding reflects more than once
+        kernel = _gaussian_kernel(sigma)
+        m = _blur_matrix(n, kernel)
+        assert np.array_equal(m, blur_matrix_oracle(n, kernel))
+        assert not m.flags.writeable
+
+    def test_square_image_shares_one_blur_matrix(self):
+        op = BlurDownsample(32, 32, 1.0, 2)
+        assert op._m_cols is op._m_rows
+
+    def test_non_square_image_has_a_blur_matrix_per_side(self):
+        op = BlurDownsample(6, 8, 1.0, 2)
+        kernel = _gaussian_kernel(1.0)
+        assert op._m_cols is not op._m_rows
+        assert np.array_equal(op._m_rows, blur_matrix_oracle(6, kernel))
+        assert np.array_equal(op._m_cols, blur_matrix_oracle(8, kernel))
 
     def test_norm_at_most_one(self):
         # factor 1 is the pure blur
