@@ -4,57 +4,15 @@ The package solves  min_x f(x) + g(x) + h(Bx)  for smooth f and proximable
 g, h through nested forward-backward and three-operator splitting schemes,
 ships the fused-lasso / constrained-TV-CT / low-rank-TV-super-resolution
 benchmark instances, and exposes a CLI (``splitopt``) that sweeps solvers
-and step-size presets over them.
+and step-size presets over them.  The top level re-exports the ``__all__``
+of each library module, so every public name is listed once, in its module.
 """
 
-from .metrics import nmsd, snr, ssim_global
-from .operators import (
-    BlurDownsample,
-    DenseMatrix,
-    Difference1D,
-    Gradient2D,
-    Identity,
-    LinearMap,
-    SparseMatrix,
-    estimate_norm,
-)
-from .problems import (
-    SplitProblem,
-    build_ct_problem,
-    build_fused_lasso,
-    build_lrtv_problem,
-    fan_beam_matrix,
-    fused_lasso_signal,
-    shepp_logan,
-)
-from .proxfuncs import (
-    BoxIndicator,
-    GroupL21,
-    L1Norm,
-    NonnegativeIndicator,
-    NuclearNorm,
-    ProxFunction,
-    QuadraticDistance,
-    ZeroFunction,
-)
-from .smooth import LeastSquares, ZeroSmooth
-from .solvers import (
-    SOLVERS,
-    ConfigError,
-    DivergenceError,
-    IterationRecord,
-    SolveTrace,
-    SolverConfig,
-    preset_config,
-    solve_condat_vu,
-    solve_davis_yin,
-    solve_fb_dual,
-    solve_fb_primal_dual,
-    solve_pd3o,
-    solve_pdfp,
-    solve_tos_dual,
-    solve_tos_pd_single,
-    solve_tos_primal_dual,
-)
+from .metrics import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .proxfuncs import *  # noqa: F401,F403
+from .smooth import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

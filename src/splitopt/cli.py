@@ -40,8 +40,8 @@ import tempfile
 
 # the builders are module attributes that _EXPERIMENTS names
 from .problems import build_ct_problem, build_fused_lasso, build_lrtv_problem  # noqa: F401
-from .solvers import (PRESETS, SOLVERS, ConfigError, DivergenceError, SolverConfig,
-                      check_loop_control, check_solver, check_steps, preset_config)
+from .solvers import (SOLVERS, ConfigError, DivergenceError, SolverConfig, check_loop_control,
+                      check_preset, check_solver, check_steps, preset_config)
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -197,8 +197,7 @@ def _parse_config(parser):
             check_loop_control(key, value)
     check_loop_control("max_outer", cfg["max_outer"])
     for preset in cfg["presets"]:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
+        check_preset(preset)
         if preset == "custom" and cfg["custom"] is None:
             raise ConfigError("preset 'custom' needs a [custom] section")
     # cells are named by preset, solver id, J and eps formatted with :g

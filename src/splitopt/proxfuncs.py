@@ -11,11 +11,11 @@ step.  Every other conjugate prox comes from the Moreau decomposition
 
     prox_{t f*}(v) = v - t prox_{f / t}(v / t),
 
-which is also the independent code that the ``moreau-identity`` and
-``conjugate-scaling`` verify rows check the closed forms against.  Indicator
-functions return the +inf sentinel from ``value`` when their constraint is
-violated; numpy's inf propagates through objective sums without corrupting
-finite comparisons.
+which is also the independent code that the ``moreau-identity`` verify row
+checks the closed forms against (``conjugate-scaling`` checks lam f against
+the kind weighted lam w).  Indicator functions return the +inf sentinel from
+``value`` when their constraint is violated; numpy's inf propagates through
+objective sums without corrupting finite comparisons.
 
 All instances are immutable and every method is pure.
 """

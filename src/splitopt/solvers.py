@@ -49,6 +49,7 @@ __all__ = [
     "ConfigError",
     "PRESETS",
     "check_loop_control",
+    "check_preset",
     "check_solver",
     "check_steps",
     "preset_config",
@@ -134,8 +135,7 @@ def preset_config(problem, preset, solver, **overrides):
     nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
     takes that nested solver's steps through the map.  An unknown id raises ConfigError.
     """
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
+    check_preset(preset)
     check_solver(solver)
     params = {}
     if preset != "custom":
@@ -213,6 +213,12 @@ def check_solver(solver):
     if solver not in _TABLE:
         raise ConfigError(f"unknown solver id {solver!r}; known: {', '.join(sorted(_TABLE))}")
     return _TABLE[solver]
+
+
+def check_preset(preset):
+    """Raise ConfigError naming the known step rules unless ``preset`` is one of PRESETS."""
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
 
 
 def _lam_condition(problem, config):

@@ -4,6 +4,8 @@ Each suite returns a list of (name, passed, detail) tuples; the CLI prints
 one PASS/FAIL line per property and exits nonzero if any fail.
 """
 
+import copy
+
 import numpy as np
 
 from .operators import (
@@ -64,8 +66,10 @@ def prox_suite(seed=0):
         for _ in range(100):
             lam = float(rng.uniform(0.05, 5.0))
             v = 3.0 * rng.standard_normal(_PROX_DIM)
-            direct = v - f.prox(lam, v)
-            resid = f.scaled_conjugate_prox(lam, v) - direct
+            # lam f as its own kind, weighted lam w (an indicator ignores its weight)
+            scaled = copy.copy(f)
+            scaled.weight = lam * f.weight
+            resid = f.scaled_conjugate_prox(lam, v) - (v - scaled.prox(1.0, v))
             worst = max(worst, float(np.abs(resid).max()))
         results.append((f"conjugate-scaling[{f.kind}]", worst <= 1e-10, f"max residual {worst:.2e}"))
 
@@ -251,15 +255,15 @@ def equivalence_suite(seed=0):
     """The reduction identities: at one warm-started inner step each nested
     scheme equals the ``single``-loop scheme its row of ``_TABLE`` names, run
     with the row's ``to_single`` config map, checked pointwise to 1e-12 over 200
-    iterations of a small instance of each family.  The CT and lrtv-sr rows
-    carry their family's tag and take lam = sigma = 0.9 / ||B||^2."""
+    iterations of a small instance of each family, all with lam = sigma =
+    0.9 / ||B||^2 and tau = 1; the CT and lrtv-sr rows carry their family's tag."""
     iters, tau = 200, 1.0
     results = []
     for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),
                    (" [ct]", build_ct_problem(img_side=16, views=6, rays=24, seed=seed)),
                    (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
         gamma = 1.9 / p.f.lipschitz
-        step = 0.9 / p.B.norm_sq if tag else 0.25  # the lasso rows keep their steps
+        step = 0.9 / p.B.norm_sq
         for nested, row in _TABLE.items():
             if row.single is None:
                 continue

@@ -491,7 +491,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("old, new, message", [
         ("[run]\n", "[custom]\n", "config needs [experiment] and [run] sections"),
-        ("presets = type-II", "presets = type-III", "unknown preset 'type-III'"),
+        ("presets = type-II", "presets = type-III",
+         "unknown preset 'type-III' (expected one of type-I, type-II, custom)"),
         ("presets = type-II", "presets = custom", "preset 'custom' needs a [custom] section"),
     ], ids=["no-run-section", "unknown-preset", "custom-without-section"])
     def test_run_section_fault_rejected_before_the_build(self, tmp_path, monkeypatch, capsys,

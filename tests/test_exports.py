@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,15 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"splitopt.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_top_level_is_the_library_modules_all():
+    # each public name is listed once, in its module; the top level re-exports them all
+    library = ("metrics", "operators", "problems", "proxfuncs", "smooth", "solvers")
+    expected = {n for name in library for n in importlib.import_module(f"splitopt.{name}").__all__}
+    public = {n for n, value in vars(splitopt).items()
+              if not n.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == expected
 
 
 def test_import_loads_no_scipy():

@@ -309,6 +309,27 @@ class TestConjugate:
                 assert not rows[f"{prop}[{kind}]"][0]
             assert_row(rows, f"{prop}[nuclear]")
 
+    def test_scaling_row_fails_for_a_weight_that_does_not_scale(self, monkeypatch):
+        # w^2 ||x||_1 has consistent value, prox and conjugate prox, so only the
+        # scaling row, which compares lam f with the kind weighted lam w, can fail
+        def value(self, x):
+            return self.weight**2 * float(np.sum(np.abs(x)))
+
+        def prox(self, step, v):
+            return np.sign(v) * np.maximum(np.abs(v) - step * self.weight**2, 0.0)
+
+        def prox_conjugate(self, step, v):
+            return np.clip(v, -self.weight**2, self.weight**2)
+
+        monkeypatch.setattr(L1Norm, "value", value)
+        monkeypatch.setattr(L1Norm, "_prox", prox)
+        monkeypatch.setattr(L1Norm, "_prox_conjugate", prox_conjugate)
+        rows = suite_rows(prox_suite)
+        assert not rows["conjugate-scaling[l1]"][0]
+        for prop in ("moreau-identity", "firm-nonexpansive", "envelope-gradient",
+                     "prox-optimality"):
+            assert_row(rows, f"{prop}[l1]")
+
 
 class TestEnvelope:
     def test_zero_gradient_at_fixed_point(self):
