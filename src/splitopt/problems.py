@@ -39,14 +39,15 @@ __all__ = [
 class SplitProblem:
     """One instance of  min_x f(x) + g(x) + h(Bx).
 
-    ``b_lam_max`` is the conventional rounded lambda_max(B B^T), a positive
-    finite number, that the step-size presets use where the experiment defines
-    one (without it, ``preset_config`` raises ``B.norm_sq`` by a small margin);
-    step-size conditions are checked against ``B.norm_sq``, and ``exact_b_norm``
-    is its square root.  ``ground_truth`` and ``x0``, when
-    set, must have ``B.in_dim`` entries.  A solve records SNR and NMSD when
-    ``ground_truth`` is set, and rejects a constant or non-finite one; it
-    records SSIM too when ``dynamic_range`` is set.
+    ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
+    step-size presets use where the experiment defines one (without it,
+    ``preset_config`` raises ``B.norm_sq`` by a small margin), and
+    ``gamma_default`` the gamma they take instead of 1.9 / L; step-size
+    conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
+    square root.  When set, those two and ``dynamic_range`` must be positive
+    and finite, and ``ground_truth`` and ``x0`` must have ``B.in_dim`` entries.
+    A solve scores SNR and NMSD against a set ``ground_truth``, rejecting a
+    constant or non-finite one, and SSIM too when ``dynamic_range`` is set.
     """
 
     f: object
@@ -69,8 +70,9 @@ class SplitProblem:
         for name in ("ground_truth", "x0"):
             if getattr(self, name) is not None:
                 vector(getattr(self, name), self.B.in_dim, name)
-        if self.b_lam_max is not None:
-            positive("b_lam_max", self.b_lam_max)
+        for name in ("b_lam_max", "gamma_default", "dynamic_range"):
+            if getattr(self, name) is not None:
+                positive(name, getattr(self, name))
         g_shape = getattr(self.g, "shape", None)
         if g_shape is not None and g_shape[0] * g_shape[1] != self.B.in_dim:
             raise ValueError(

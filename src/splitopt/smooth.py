@@ -1,14 +1,16 @@
-"""Differentiable data-fit terms.
+"""The differentiable data-fit term.
 
 A smooth term f is convex and differentiable with an L-Lipschitz gradient;
 the solvers read its ``value(x)``, ``gradient(x)`` and ``lipschitz`` (L).
+``LeastSquares`` is the one such term; over a zero matrix it is the zero
+function, with L = 0.
 """
 
 import numpy as np
 
-from ._checks import finite, integer, vector
+from ._checks import finite, vector
 
-__all__ = ["LeastSquares", "ZeroSmooth"]
+__all__ = ["LeastSquares"]
 
 
 class LeastSquares:
@@ -48,19 +50,3 @@ class LeastSquares:
     def lipschitz(self):
         return self.op.norm_sq
 
-
-class ZeroSmooth:
-    """The zero function; gradient 0 with Lipschitz constant 0."""
-
-    def __init__(self, dim):
-        self.dim = integer("dim", dim, 1)
-
-    def value(self, x):
-        return 0.0
-
-    def gradient(self, x):
-        return np.zeros(self.dim)
-
-    @property
-    def lipschitz(self):
-        return 0.0

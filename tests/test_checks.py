@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splitopt.metrics import snr, ssim_global
+from splitopt.metrics import Reference
 from splitopt.operators import (
     BlurDownsample,
     DenseMatrix,
@@ -26,7 +26,7 @@ from splitopt.problems import (
     fan_beam_rays,
 )
 from splitopt.proxfuncs import BoxIndicator, L1Norm, NuclearNorm, ZeroFunction
-from splitopt.smooth import LeastSquares, ZeroSmooth
+from splitopt.smooth import LeastSquares
 from splitopt.solvers import (ConfigError, SolverConfig, check_loop_control, check_steps,
                               preset_config)
 
@@ -39,7 +39,8 @@ KNOWN = ("condat-vu, davis-yin, fb-dual, fb-pd, pd3o, pdfp, tos-dual, tos-pd, "
 
 def _l0_problem():
     """f = 0 (L = 0) and no suggested gamma, so a preset cannot derive one."""
-    return SplitProblem(f=ZeroSmooth(4), g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
+    f = LeastSquares(DenseMatrix(np.zeros((1, 4))), np.zeros(1))
+    return SplitProblem(f=f, g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
 
 
 #: case id -> (call, exception type, full message)
@@ -74,7 +75,7 @@ CASES = {
                          "out_dim must be an integer >= 1, got 2.9"),
     "nuclear-shape": (lambda: NuclearNorm(1.0, (3, 4.0)), ValueError,
                       "matrix cols must be an integer >= 1, got 4.0"),
-    "dynamic-range": (lambda: ssim_global(np.zeros(4), np.zeros(4), NAN), ValueError,
+    "dynamic-range": (lambda: Reference(np.arange(4.0), NAN), ValueError,
                       "dynamic range must be positive and finite, got nan"),
     "ct-views": (lambda: build_ct_problem(views=0), ValueError,
                  "views must be an integer >= 1, got 0"),
@@ -98,7 +99,7 @@ CASES = {
                      "difference-1d apply input has 14 entries, expected 15"),
     "nuclear-length": (lambda: NuclearNorm(1.0, (2, 2)).prox(1.0, np.zeros(6)), ValueError,
                        "nuclear norm input, a flattened 2x2 matrix, has 6 entries, expected 4"),
-    "reconstruction-length": (lambda: snr(np.arange(3.0), np.zeros(4)), ValueError,
+    "reconstruction-length": (lambda: Reference(np.arange(3.0))(np.zeros(4)), ValueError,
                               "reconstruction has 4 entries, expected 3"),
     "target-length": (lambda: LeastSquares(Difference1D(4), np.zeros(4)), ValueError,
                       "target has 4 entries, expected 3"),

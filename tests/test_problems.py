@@ -401,21 +401,24 @@ class TestDimensionChain:
             )
 
     def test_mismatched_matrix_penalty_rejected(self):
-        from splitopt.operators import Gradient2D
+        from splitopt.operators import DenseMatrix, Gradient2D
         from splitopt.proxfuncs import L1Norm, NuclearNorm
-        from splitopt.smooth import ZeroSmooth
         from splitopt.problems import SplitProblem
+        from splitopt.smooth import LeastSquares
 
+        f = LeastSquares(DenseMatrix(np.zeros((1, 16))), np.zeros(1))
         with pytest.raises(ValueError, match="shape"):
-            SplitProblem(f=ZeroSmooth(16), g=NuclearNorm(0.1, (3, 4)),
+            SplitProblem(f=f, g=NuclearNorm(0.1, (3, 4)),
                          h=L1Norm(0.1), B=Gradient2D(4, 4))
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_step_constant_must_be_positive(self, value):
-        # preset_config divided by 0 or took the root of -1 with it
+        # preset_config divided by 0 or took the root of -1 with b_lam_max; a
+        # bad gamma_default or dynamic_range was accepted until a preset or a solve
         p = build_fused_lasso(m=30, n=60)
-        with pytest.raises(ValueError, match=f"^b_lam_max must be positive and finite, got {value}$"):
-            dataclasses.replace(p, b_lam_max=value)
+        for field in ("b_lam_max", "gamma_default", "dynamic_range"):
+            with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+                dataclasses.replace(p, **{field: value})
 
 
     @pytest.mark.parametrize("field", ["ground_truth", "x0"])

@@ -12,7 +12,7 @@ from splitopt import operators, solvers
 from splitopt.operators import DenseMatrix, Identity, estimate_norm
 from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
-from splitopt.smooth import LeastSquares, ZeroSmooth
+from splitopt.smooth import LeastSquares
 from splitopt.solvers import (
     SOLVERS,
     ConfigError,
@@ -107,17 +107,6 @@ class TestSmoothFunctions:
             for i, value, grad in seen[t]:
                 assert value == expected[i][0]
                 assert np.array_equal(grad, expected[i][1])
-
-    def test_zero_smooth(self):
-        f = ZeroSmooth(4)
-        assert f.value(np.ones(4)) == 0.0
-        assert np.array_equal(f.gradient(np.ones(4)), np.zeros(4))
-        assert f.lipschitz == 0.0
-
-    @pytest.mark.parametrize("dim", [-1, 0, 2.5])
-    def test_zero_smooth_dimension_is_a_positive_integer(self, dim):
-        with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {dim}$"):
-            ZeroSmooth(dim)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, bad):
@@ -254,7 +243,8 @@ class TestDegenerateReductions:
         n, m = 6, 4
         bmat = rng.standard_normal((m, n))
         center = rng.standard_normal(n)
-        p = SplitProblem(f=ZeroSmooth(n), g=QuadraticDistance(1.0, center),
+        p = SplitProblem(f=LeastSquares(DenseMatrix(np.zeros((1, n))), np.zeros(1)),
+                         g=QuadraticDistance(1.0, center),
                          h=L1Norm(1.0), B=DenseMatrix(bmat))
         nb2 = np.linalg.svd(bmat, compute_uv=False)[0] ** 2
         c = SolverConfig(gamma=1.0, lam=0.9 / nb2, eps=1e-14, max_outer=20000)
@@ -288,7 +278,8 @@ class TestDegenerateReductions:
 class TestObjective:
     def test_all_zero(self):
         p, _ = quadratic_identity_problem()
-        p2 = SplitProblem(f=ZeroSmooth(4), g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
+        f = LeastSquares(DenseMatrix(np.zeros((1, 4))), np.zeros(1))
+        p2 = SplitProblem(f=f, g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
         assert p2.objective(np.ones(4)) == 0.0
 
     def test_fused_lasso_at_zero(self):

@@ -67,6 +67,8 @@ MUTANTS = [
      "iters = str(trace.total_outer)"),
     ("SSIM c2 0.04", "src/splitopt/metrics.py",
      "(0.03 * dynamic_range) ** 2", "(0.04 * dynamic_range) ** 2"),
+    ("constancy tested on the variance", "src/splitopt/metrics.py",
+     "if self.x.min() == self.x.max():", "if self.var == 0.0:"),
     ("power-iteration tolerance 1e-6", "src/splitopt/operators.py",
      "<= 1e-8 * max(lam_new, 1e-300)", "<= 1e-6 * max(lam_new, 1e-300)"),
 ]
