@@ -15,6 +15,7 @@ primal-dual steps; each takes a fixed number ``inner_iters`` of steps and
 warm-starts from its previous terminal value.  With one inner step the four
 collapse to single-loop algorithms, kept as independent implementations so
 that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
+Every solver's ``y`` is the dual of h at unit scale, so each identity covers its state.
 
 Each solver is one ``_Row`` of ``_TABLE``: its ``solve`` function, the ``steps`` it
 reads, their ``condition`` and, for a nested solver, the ``single``-loop scheme it
@@ -330,15 +331,15 @@ def _dual_inner(prox, h, B, config):
 def _pd_inner(prox, h, B, config):
     """Primal-dual steps on  min_p 1/2 ||p - u||^2 + gamma (phi + h o B)(p), with
     ``prox(t, v)`` = prox_{t phi}(v); ``inner(u, y, p)`` runs J of them from (p, y)
-    and returns (p, y)."""
-    gamma, sigma, tau, J = config.gamma, config.sigma, config.tau, config.inner_iters
+    and returns (p, y); as in ``_dual_inner``, y is the dual of h and p reads u - gamma B^T y."""
+    gamma, tau, J = config.gamma, config.tau, config.inner_iters
+    s = config.sigma / gamma
     p_step = tau * gamma / (1.0 + tau)
 
     def inner(u, y, p):
-        tau_u = tau * u
         for _ in range(J):
-            p_new = prox(p_step, (p - tau * B.adjoint_apply(y) + tau_u) / (1.0 + tau))
-            y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * p_new - p))
+            p_new = prox(p_step, (p + tau * (u - gamma * B.adjoint_apply(y))) / (1.0 + tau))
+            y = h.prox_conjugate(s, y + s * B.apply(2.0 * p_new - p))
             p = p_new
         return p, y
 
@@ -497,19 +498,19 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
 
     x <- prox_{gamma g}(z)
     u = 2x - z - gamma grad f(x)
-    v <- (v - tau B^T y + tau u) / (1+tau)
-    y <- gamma prox_{(sigma/gamma) h*}( y/gamma + (sigma/gamma) B (2 v' - v) )
+    v <- (v + tau (u - gamma B^T y)) / (1+tau)
+    y <- prox_{(sigma/gamma) h*}( y + (sigma/gamma) B (2 v' - v) )
     z <- z + v' - x
     """
     f, g, h, B = check_steps("tos-pd-single", problem, config)
-    gamma, sigma, tau = config.gamma, config.sigma, config.tau
+    gamma, tau, s = config.gamma, config.tau, config.sigma / config.gamma
 
     def step(state):
         z, v, y = state
         x = g.prox(gamma, z)
         u = 2.0 * x - z - gamma * f.gradient(x)
-        v_new = (v - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau)
-        y = gamma * h.prox_conjugate(sigma / gamma, y / gamma + (sigma / gamma) * B.apply(2.0 * v_new - v))
+        v_new = (v + tau * (u - gamma * B.adjoint_apply(y))) / (1.0 + tau)
+        y = h.prox_conjugate(s, y + s * B.apply(2.0 * v_new - v))
         z = z + v_new - x
         return (z, v_new, y), x
 

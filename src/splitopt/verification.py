@@ -234,12 +234,15 @@ def operator_suite(seed=0):
 
 
 def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
-    """One suite row: both trajectories ran their ``iters`` iterations, and
-    a's iterates match b's read ``skip_b`` steps later pointwise to 1e-12."""
+    """One suite row: both trajectories ran their ``iters`` iterations, a's iterates match
+    b's read ``skip_b`` steps later and, at ``skip_b`` = 0, so do their final states, to 1e-12."""
     ran = min(len(tr_a.iterates), len(tr_b.iterates))
     if ran < iters:
         return name, False, f"stopped after {ran} of {iters} iterations"
-    gap = max(float(np.abs(a - b).max()) for a, b in zip(tr_a.iterates, tr_b.iterates[skip_b:]))
+    pairs = list(zip(tr_a.iterates, tr_b.iterates[skip_b:]))
+    if skip_b == 0:
+        pairs += [(value, tr_b.final_state[key]) for key, value in tr_a.final_state.items()]
+    gap = max(float(np.abs(a - b).max()) for a, b in pairs)
     return name, gap < 1e-12, f"max gap {gap:.2e}"
 
 
@@ -255,8 +258,9 @@ def equivalence_suite(seed=0):
     """The reduction identities: at one warm-started inner step each nested
     scheme equals the ``single``-loop scheme its row of ``_TABLE`` names, run
     with the row's ``to_single`` config map, checked pointwise to 1e-12 over 200
-    iterations of a small instance of each family, all with lam = sigma =
-    0.9 / ||B||^2 and tau = 1; the CT and lrtv-sr rows carry their family's tag."""
+    iterations of a small instance of each family, and in the whole final state,
+    y included, all with lam = sigma = 0.9 / ||B||^2 and tau = 1; the CT and
+    lrtv-sr rows carry their family's tag."""
     iters, tau = 200, 1.0
     results = []
     for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),

@@ -494,6 +494,18 @@ class TestCrossAlgorithmAgreement:
                 rel = np.linalg.norm(finals[a] - finals[b]) / np.linalg.norm(finals[b])
                 assert rel < 1e-5, (a, b, rel)
 
+    def test_every_solver_ends_at_a_dual_certificate_of_h(self):
+        # y is the dual of h at unit scale in every solver: y = prox_{h*}(y + B x)
+        p = small_lasso()
+        resids = {}
+        for name in sorted(set(SOLVERS) - {"davis-yin"}):  # davis-yin needs B = I
+            tr = SOLVERS[name](p, preset_config(p, "type-II", name, eps=1e-10))
+            assert tr.converged, name
+            x, y = tr.final_x, tr.final_state["y"]
+            resid = np.linalg.norm(y - p.h.prox_conjugate(1.0, y + p.B.apply(x)))
+            resids[name] = resid / max(np.linalg.norm(y), 1.0)
+        assert max(resids.values()) < 1e-6, resids
+
     def test_pdfp_and_pd3o_agree_in_the_limit_with_nonzero_g(self):
         # with g != 0 the trajectories differ transiently but reach the same point
         p = small_lasso()
