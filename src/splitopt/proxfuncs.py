@@ -64,11 +64,6 @@ class ProxFunction:
         """prox_{step * f*}(v), in closed form or via the Moreau decomposition."""
         return self._prox_conjugate(positive("prox step", step), vector(v))
 
-    def scaled_conjugate_prox(self, lam, v):
-        """prox_{(lam * f)*}(v) = lam * prox_{f* / lam}(v / lam)."""
-        lam = positive("scaling", lam)
-        return lam * self._prox_conjugate(1.0 / lam, vector(v) / lam)
-
     def envelope_gradient(self, lam, x):
         """Gradient (x - prox_{lam f}(x)) / lam of the Moreau envelope; (1/lam)-Lipschitz."""
         lam, x = positive("smoothing parameter", lam), vector(x)

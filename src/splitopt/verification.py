@@ -57,7 +57,7 @@ def prox_suite(seed=0):
         for _ in range(100):
             lam = float(rng.uniform(0.05, 5.0))
             u = 3.0 * rng.standard_normal(_PROX_DIM)
-            resid = f.prox(lam, u) + f.scaled_conjugate_prox(lam, u) - u
+            resid = f.prox(lam, u) + lam * f.prox_conjugate(1.0 / lam, u / lam) - u
             worst = max(worst, float(np.abs(resid).max()))
         results.append((f"moreau-identity[{f.kind}]", worst <= 1e-10, f"max residual {worst:.2e}"))
 
@@ -69,7 +69,7 @@ def prox_suite(seed=0):
             # lam f as its own kind, weighted lam w (an indicator ignores its weight)
             scaled = copy.copy(f)
             scaled.weight = lam * f.weight
-            resid = f.scaled_conjugate_prox(lam, v) - (v - scaled.prox(1.0, v))
+            resid = lam * f.prox_conjugate(1.0 / lam, v / lam) - (v - scaled.prox(1.0, v))
             worst = max(worst, float(np.abs(resid).max()))
         results.append((f"conjugate-scaling[{f.kind}]", worst <= 1e-10, f"max residual {worst:.2e}"))
 

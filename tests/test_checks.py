@@ -55,8 +55,6 @@ CASES = {
                     "weight must be nonnegative and finite, got -1"),
     "prox-step": (lambda: L1Norm(1.0).prox(NAN, [0.0]), ValueError,
                   "prox step must be positive and finite, got nan"),
-    "prox-scaling": (lambda: L1Norm(1.0).scaled_conjugate_prox(-1.0, [0.0]), ValueError,
-                     "scaling must be positive and finite, got -1.0"),
     "prox-smoothing": (lambda: L1Norm(1.0).envelope_gradient(INF, [0.0]), ValueError,
                        "smoothing parameter must be positive and finite, got inf"),
     "blur-sigma": (lambda: BlurDownsample(8, 8, NAN, 2), ValueError,

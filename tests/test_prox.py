@@ -149,8 +149,7 @@ class TestProxValues:
 
     def test_step_must_be_positive(self):
         f = L1Norm(1.0)
-        methods = (f.prox, f.prox_conjugate, f.scaled_conjugate_prox,
-                   f.envelope_gradient, f.envelope_value)
+        methods = (f.prox, f.prox_conjugate, f.envelope_gradient, f.envelope_value)
         for step in (0.0, float("nan"), float("inf")):
             for method in methods:
                 with pytest.raises(ValueError, match="must be positive"):
@@ -190,16 +189,9 @@ class TestConjugate:
         for kind in KINDS:
             assert_row(prox_rows, f"moreau-identity[{kind}]")
 
-    def test_scaling_identity_lambda_one(self):
-        rng = np.random.default_rng(6)
-        for f in _prox_library(rng):
-            v = rng.standard_normal(DIM)
-            np.testing.assert_allclose(
-                f.scaled_conjugate_prox(1.0, v), f.prox_conjugate(1.0, v), atol=1e-12
-            )
-
     def test_scaled_conjugate_l1_is_scaled_ball_projection(self):
-        out = L1Norm(1.0).scaled_conjugate_prox(2.0, np.array([3.0, -0.5]))
+        # prox_{(lam f)*}(v) = lam prox_{f*/lam}(v / lam) at lam = 2
+        out = 2.0 * L1Norm(1.0).prox_conjugate(0.5, np.array([3.0, -0.5]) / 2.0)
         np.testing.assert_allclose(out, [2.0, -0.5], atol=1e-12)
         # oracle: the same point through the plain Moreau route
         v = np.array([3.0, -0.5])
@@ -242,7 +234,6 @@ class TestConjugate:
         v = np.array([3.0, 0.0, -0.0, -2.5])
         for step in (0.3, 1.0, 7.0):
             assert np.array_equal(cls(0.0).prox_conjugate(step, v), np.zeros(4))
-            assert np.array_equal(cls(0.0).scaled_conjugate_prox(step, v), np.zeros(4))
 
     def test_group_conjugate_edge_pairs(self):
         # pairs (0, 0), (3, 4) and (0, -5) on the circle of radius 5, (6, 8)
