@@ -50,6 +50,11 @@ MUTANTS = [
     ("J - 1 dual inner steps", SOLVERS,
      "for _ in range(J):\n            y = h.prox_conjugate(s,",
      "for _ in range(J - 1):\n            y = h.prox_conjugate(s,"),
+    ("tos-pd-single dual carried as gamma y", SOLVERS,
+     "v_new = (v + tau * (u - gamma * B.adjoint_apply(y))) / (1.0 + tau)\n"
+     "        y = h.prox_conjugate(s, y + s * B.apply(2.0 * v_new - v))",
+     "v_new = (v - tau * B.adjoint_apply(y) + tau * u) / (1.0 + tau)\n"
+     "        y = gamma * h.prox_conjugate(s, y / gamma + s * B.apply(2.0 * v_new - v))"),
     ("v0 from zeros", SOLVERS,
      "value = state[0] if state and key != \"y\" else np.zeros(size)",
      "value = np.zeros(size)"),
