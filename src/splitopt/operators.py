@@ -89,7 +89,8 @@ class DenseMatrix(LinearMap):
 
     @functools.cached_property
     def norm_sq(self):
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0]) ** 2
+        with np.errstate(over="ignore"):  # +inf for a singular value above about 1.34e154
+            return float(np.linalg.svd(self.matrix, compute_uv=False)[0] ** 2)
 
     def _apply(self, x):
         return self.matrix @ x
@@ -323,12 +324,14 @@ class BlurDownsample(LinearMap):
         return (self._m_rows.T @ (up / (f * f)) @ self._m_cols).ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_norm(op):
     """Estimate the operator norm ||B|| = sqrt(lambda_max(B^T B)) by power iteration.
 
     Runs power iteration on B^T B from a random start seeded with 0 and stops
     when the relative change of the Rayleigh quotient drops to 1e-8 or after
-    5000 sweeps.  Returns 0.0 for the zero operator.  Deterministic.
+    5000 sweeps.  Returns 0.0 for the zero operator, and +inf, warning-free, at
+    the first Rayleigh quotient or iterate norm that overflows or is NaN.  Deterministic.
     """
     q = np.random.default_rng(0).standard_normal(op.in_dim)
     q /= np.linalg.norm(q)
@@ -338,6 +341,8 @@ def estimate_norm(op):
         lam_new = float(w @ w)  # Rayleigh quotient of B^T B at the unit vector q
         q = op._adjoint(w)
         nq = np.linalg.norm(q)
+        if not (lam_new < np.inf and nq < np.inf):
+            return np.inf
         if nq == 0.0 or lam_new == 0.0:
             return 0.0
         q /= nq

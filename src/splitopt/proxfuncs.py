@@ -13,7 +13,9 @@ step.  Every other conjugate prox comes from the Moreau decomposition
 
 which is also the independent code that the ``moreau-identity`` verify row
 checks the closed forms against (``conjugate-scaling`` checks lam f against
-the kind weighted lam w).  Indicator functions return the +inf sentinel from
+the kind weighted lam w).  The ``envelope-gradient`` row forms the Moreau
+envelope f(p) + ||x - p||^2 / (2 lam) and its gradient (x - p) / lam from
+p = prox_{lam f}(x).  Indicator functions return the +inf sentinel from
 ``value`` when their constraint is violated; numpy's inf propagates through
 objective sums without corrupting finite comparisons.
 
@@ -34,10 +36,6 @@ __all__ = [
     "QuadraticDistance",
     "ZeroFunction",
 ]
-
-
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 class ProxFunction:
@@ -64,17 +62,6 @@ class ProxFunction:
         """prox_{step * f*}(v), in closed form or via the Moreau decomposition."""
         return self._prox_conjugate(positive("prox step", step), vector(v))
 
-    def envelope_gradient(self, lam, x):
-        """Gradient (x - prox_{lam f}(x)) / lam of the Moreau envelope; (1/lam)-Lipschitz."""
-        lam, x = positive("smoothing parameter", lam), vector(x)
-        return (x - self._prox(lam, x)) / lam
-
-    def envelope_value(self, lam, x):
-        """inf_y f(y) + ||x - y||^2 / (2 lam), the infimum attained at the prox."""
-        lam, x = positive("smoothing parameter", lam), vector(x)
-        p = self._prox(lam, x)
-        return float(self.value(p) + np.sum((x - p) ** 2) / (2.0 * lam))
-
 
 class L1Norm(ProxFunction):
     """weight * ||x||_1; prox is soft thresholding, and the conjugate prox is
@@ -89,7 +76,7 @@ class L1Norm(ProxFunction):
         return self.weight * float(np.sum(np.abs(x)))
 
     def _prox(self, step, v):
-        return _soft_threshold(v, step * self.weight)
+        return np.sign(v) * np.maximum(np.abs(v) - step * self.weight, 0.0)
 
     def _prox_conjugate(self, step, v):
         return np.clip(v, -self.weight, self.weight)

@@ -1,7 +1,8 @@
 """Property suites behind ``splitopt verify``; the tests assert their rows at seed 3.
 
 Each suite returns a list of (name, passed, detail) tuples; the CLI prints
-one PASS/FAIL line per property and exits nonzero if any fail.
+one PASS/FAIL line per property and exits nonzero if any fail.  ``passed`` is
+a bool, which a NaN makes False: maxima propagate NaN and tests are negated.
 """
 
 import copy
@@ -35,6 +36,18 @@ __all__ = ["prox_suite", "operator_suite", "equivalence_suite", "run_suite", "SU
 _PROX_DIM = 12
 
 
+def _worst(values):
+    """(value, key) of the dict's largest value, or of its first NaN, which max() would skip."""
+    key = list(values)[int(np.argmax(list(values.values())))]
+    return values[key], key
+
+
+def _envelope(f, lam, x):
+    """The Moreau envelope f(p) + ||x - p||^2 / (2 lam) at p = prox_{lam f}(x), its minimizer."""
+    p = f.prox(lam, x)
+    return float(f.value(p) + np.sum((x - p) ** 2) / (2.0 * lam))
+
+
 def _prox_library(rng):
     return [
         L1Norm(0.7),
@@ -48,6 +61,8 @@ def _prox_library(rng):
 
 
 def prox_suite(seed=0):
+    """Five rows per kind; the envelope row checks the gradient (x - prox_{lam f}(x)) / lam
+    against central differences of ``_envelope``, both from ``prox`` and ``value``."""
     rng = np.random.default_rng(seed)
     funcs = _prox_library(rng)
     results = []
@@ -58,7 +73,7 @@ def prox_suite(seed=0):
             lam = float(rng.uniform(0.05, 5.0))
             u = 3.0 * rng.standard_normal(_PROX_DIM)
             resid = f.prox(lam, u) + lam * f.prox_conjugate(1.0 / lam, u / lam) - u
-            worst = max(worst, float(np.abs(resid).max()))
+            worst = float(np.maximum(worst, np.abs(resid).max()))
         results.append((f"moreau-identity[{f.kind}]", worst <= 1e-10, f"max residual {worst:.2e}"))
 
     for f in funcs:
@@ -70,7 +85,7 @@ def prox_suite(seed=0):
             scaled = copy.copy(f)
             scaled.weight = lam * f.weight
             resid = lam * f.prox_conjugate(1.0 / lam, v / lam) - (v - scaled.prox(1.0, v))
-            worst = max(worst, float(np.abs(resid).max()))
+            worst = float(np.maximum(worst, np.abs(resid).max()))
         results.append((f"conjugate-scaling[{f.kind}]", worst <= 1e-10, f"max residual {worst:.2e}"))
 
     for f in funcs:
@@ -82,7 +97,7 @@ def prox_suite(seed=0):
             px, py = f.prox(step, x), f.prox(step, y)
             lhs = float(np.sum((px - py) ** 2))
             rhs = float((x - y) @ (px - py))
-            if lhs > rhs + 1e-12:
+            if not lhs <= rhs + 1e-12:
                 ok = False
                 break
         results.append((f"firm-nonexpansive[{f.kind}]", ok, "100 random pairs"))
@@ -92,16 +107,11 @@ def prox_suite(seed=0):
         for _ in range(10):
             lam = float(rng.uniform(0.2, 2.0))
             x = 2.0 * rng.standard_normal(_PROX_DIM)
-            grad = f.envelope_gradient(lam, x)
-            num = np.empty_like(x)
-            h = 1e-6
-            for i in range(x.size):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                num[i] = (f.envelope_value(lam, xp) - f.envelope_value(lam, xm)) / (2 * h)
+            grad = (x - f.prox(lam, x)) / lam
+            num = np.array([_envelope(f, lam, x + e) - _envelope(f, lam, x - e)
+                            for e in 1e-6 * np.eye(x.size)]) / 2e-6
             err = np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)
-            worst = max(worst, float(err))
+            worst = float(np.maximum(worst, err))
         results.append((f"envelope-gradient[{f.kind}]", worst <= 1e-5, f"max rel err {worst:.2e}"))
 
     for f in funcs:
@@ -113,7 +123,7 @@ def prox_suite(seed=0):
         for _ in range(1000):
             cand = p + rng.standard_normal(_PROX_DIM) * rng.uniform(1e-4, 2.0)
             val = 0.5 * float(np.sum((cand - v) ** 2)) + step * f.value(cand)
-            if val < best - 1e-12:
+            if not val >= best - 1e-12:
                 ok = False
                 break
         results.append((f"prox-optimality[{f.kind}]", ok, "1000 random candidates"))
@@ -148,7 +158,7 @@ def operator_suite(seed=0):
             bty = op.adjoint_apply(y)
             scale = max(np.linalg.norm(bx) * np.linalg.norm(y),
                         np.linalg.norm(x) * np.linalg.norm(bty), 1e-30)
-            worst = max(worst, abs(float(bx @ y - x @ bty)) / scale)
+            worst = float(np.maximum(worst, abs(float(bx @ y - x @ bty)) / scale))
         results.append((f"adjoint-identity[{op.kind}]", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     for op in ops:
@@ -159,15 +169,15 @@ def operator_suite(seed=0):
             a, b = rng.standard_normal(2)
             resid = op.apply(a * x + b * y) - (a * op.apply(x) + b * op.apply(y))
             scale = max(np.linalg.norm(op.apply(x)), np.linalg.norm(op.apply(y)), 1e-30)
-            worst = max(worst, float(np.linalg.norm(resid)) / scale)
+            worst = float(np.maximum(worst, np.linalg.norm(resid) / scale))
         results.append((f"linearity[{op.kind}]", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     for op in ops:
         est = estimate_norm(op)
-        ok = True
+        ok = est < np.inf
         for _ in range(100):
             x = rng.standard_normal(op.in_dim)
-            if np.linalg.norm(op.apply(x)) > (1 + 1e-6) * est * np.linalg.norm(x):
+            if not np.linalg.norm(op.apply(x)) <= (1 + 1e-6) * est * np.linalg.norm(x):
                 ok = False
                 break
         results.append((f"norm-bound[{op.kind}]", ok, f"estimate {est:.6g}"))
@@ -180,7 +190,7 @@ def operator_suite(seed=0):
         eigs = np.sort(np.linalg.eigvalsh(d @ d.T))
         expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n))
         devs[n] = float(np.abs(eigs - expected).max())
-    n_worst = max(devs, key=devs.get)
+    dev, n_worst = _worst(devs)
     cases = {f"difference-1d({n})": Difference1D(n) for n in devs}
     cases.update({f"gradient-2d({r}x{c})": Gradient2D(r, c)
                   for r, c in ((2, 2), (2, 3), (3, 2), (5, 8), (7, 7), (12, 9))})
@@ -189,11 +199,9 @@ def operator_suite(seed=0):
         d = op.to_dense()
         true = float(np.linalg.eigvalsh(d.T @ d)[-1])
         rels[label] = abs(op.norm_sq - true) / true
-    op_worst = max(rels, key=rels.get)
-    results.append(("difference-spectrum-closed-form",
-                    devs[n_worst] <= 1e-9 and rels[op_worst] <= 1e-12,
-                    f"max dev {devs[n_worst]:.2e} at n={n_worst}; "
-                    f"norm_sq max rel err {rels[op_worst]:.2e} at {op_worst}"))
+    rel, op_worst = _worst(rels)
+    results.append(("difference-spectrum-closed-form", dev <= 1e-9 and rel <= 1e-12,
+                    f"max dev {dev:.2e} at n={n_worst}; norm_sq max rel err {rel:.2e} at {op_worst}"))
 
     m = rng.standard_normal((20, 30))
     est = estimate_norm(DenseMatrix(m))
@@ -226,9 +234,8 @@ def operator_suite(seed=0):
         for label, op in cases.items():
             true = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0]) ** 2
             rels[label] = abs(op.norm_sq - true) / true
-        worst = max(rels, key=rels.get)
-        results.append((name, rels[worst] <= 1e-12,
-                        f"norm_sq max rel err {rels[worst]:.2e} at {worst}"))
+        rel, worst = _worst(rels)
+        results.append((name, rel <= 1e-12, f"norm_sq max rel err {rel:.2e} at {worst}"))
 
     return results
 
@@ -242,7 +249,7 @@ def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
     pairs = list(zip(tr_a.iterates, tr_b.iterates[skip_b:]))
     if skip_b == 0:
         pairs += [(value, tr_b.final_state[key]) for key, value in tr_a.final_state.items()]
-    gap = max(float(np.abs(a - b).max()) for a, b in pairs)
+    gap = float(np.max([np.abs(a - b).max() for a, b in pairs]))
     return name, gap < 1e-12, f"max gap {gap:.2e}"
 
 

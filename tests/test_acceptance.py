@@ -80,7 +80,7 @@ def test_criterion_2_moreau_and_scaling_identities():
                                     f"each, to 1e-10: {detail}; {elapsed:.1f}s")
 
 
-def test_criterion_3_envelope_gradient_finite_differences(prox_rows):
+def test_criterion_3_moreau_envelope_finite_differences(prox_rows):
     ok, detail = read_rows(prox_rows, ("envelope-gradient[",), 7)
     report(3, ok, f"envelope gradient vs central differences, all kinds, to 1e-5: {detail}")
 

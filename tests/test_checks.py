@@ -55,8 +55,6 @@ CASES = {
                     "weight must be nonnegative and finite, got -1"),
     "prox-step": (lambda: L1Norm(1.0).prox(NAN, [0.0]), ValueError,
                   "prox step must be positive and finite, got nan"),
-    "prox-smoothing": (lambda: L1Norm(1.0).envelope_gradient(INF, [0.0]), ValueError,
-                       "smoothing parameter must be positive and finite, got inf"),
     "blur-sigma": (lambda: BlurDownsample(8, 8, NAN, 2), ValueError,
                    "blur_sigma must be nonnegative and finite, got nan"),
     "blur-factor": (lambda: BlurDownsample(8, 8, 1.0, 2.5), ValueError,

@@ -540,6 +540,11 @@ class TestVerify:
         assert time.monotonic() - t0 < 60.0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_every_row_passes_a_python_bool(self, prox_rows, operator_rows, equivalence_rows):
+        for rows in (prox_rows, operator_rows, equivalence_rows):
+            for name, (ok, _) in rows.items():
+                assert type(ok) is bool, name
+
     def test_verify_all_is_green(self, verify_all):
         code, out = verify_all
         assert code == 0

@@ -154,6 +154,24 @@ class TestAdjoint:
             assert not rows[f"{prop}[difference-1d]"][0]
             assert_row(rows, f"{prop}[gradient-2d]")
 
+    def test_rows_fail_for_an_adjoint_with_a_nan(self, monkeypatch):
+        # the running maximum must keep the NaN, and the estimate it leads to
+        # is not finite, so no probe can be bounded by it
+        adjoint = Difference1D._adjoint
+
+        def nan_first(self, y):
+            out = adjoint(self, y)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(Difference1D, "_adjoint", nan_first)
+        rows = suite_rows(operator_suite)
+        for prop in ("adjoint-identity", "norm-bound"):
+            assert not rows[f"{prop}[difference-1d]"][0]
+            assert_row(rows, f"{prop}[gradient-2d]")
+        assert rows["adjoint-identity[difference-1d]"][1] == "max rel nan"
+        assert rows["norm-bound[difference-1d]"][1] == "estimate inf"
+
 
 class TestDifference1D:
     def test_n2_single_row(self):
@@ -254,6 +272,14 @@ class TestGradient2D:
         # a value below the power-iteration estimate is not a bound on ||B||^2
         monkeypatch.setattr(Gradient2D, "norm_sq", property(lambda self: 7.99))
         assert not suite_rows(operator_suite)["gradient-2d-spectral-constant"][0]
+
+    def test_closed_form_row_fails_for_a_nan_that_is_not_first(self, monkeypatch):
+        # the worst case is picked NaN first; max(rels, key=rels.get) skipped it
+        norm_sq = Gradient2D.norm_sq.fget
+        monkeypatch.setattr(Gradient2D, "norm_sq", property(
+            lambda self: np.nan if (self.rows, self.cols) == (7, 7) else norm_sq(self)))
+        ok, detail = suite_rows(operator_suite)["difference-spectrum-closed-form"]
+        assert not ok and detail.endswith("norm_sq max rel err nan at gradient-2d(7x7)")
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from splitopt import operators, solvers
-from splitopt.operators import DenseMatrix, Identity, estimate_norm
+from splitopt.operators import DenseMatrix, Identity, SparseMatrix, estimate_norm
 from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
 from splitopt.smooth import LeastSquares
@@ -339,6 +339,27 @@ class TestConfigValidation:
         bad = SolverConfig(gamma=1.9 / p.f.lipschitz, sigma=1 / 3.99974, tau=1.0, max_outer=1)
         with pytest.raises(ConfigError, match=r"= 1\.000003\d* must be < 1"):
             solve_fb_primal_dual(p, bad)
+
+    def test_overflowing_power_iteration_fails_the_step_check(self):
+        # 1e200 squared overflows in the first sweep; an L of NaN would pass
+        # gamma's bound, which applies only when L > 0
+        a = SparseMatrix(2, 2, [0, 1], [0, 1], [1e200, 1.0])
+        assert a.norm_sq == np.inf
+        p = SplitProblem(f=LeastSquares(a, np.zeros(2)), g=L1Norm(0.1), h=L1Norm(0.1),
+                         B=Identity(2))
+        with pytest.raises(ConfigError, match="with L=inf"):
+            check_steps("fb-dual", p, SolverConfig(gamma=1e300, lam=0.5))
+
+    def test_overflowing_svd_constant_fails_the_preset_and_the_step_check(self):
+        # a singular value of 1e200 squares past the float range: L reads inf
+        a = DenseMatrix([[1e200, 0.0], [0.0, 1.0]])
+        assert a.norm_sq == np.inf
+        p = SplitProblem(f=LeastSquares(a, np.zeros(2)), g=L1Norm(0.1), h=L1Norm(0.1),
+                         B=Identity(2))
+        with pytest.raises(ConfigError, match="gamma must be positive"):
+            preset_config(p, "type-II", "fb-dual")
+        with pytest.raises(ConfigError, match="with L=inf"):
+            check_steps("fb-dual", p, SolverConfig(gamma=1.0, lam=0.5))
 
     def test_condat_vu_standard_condition(self):
         p = small_lasso()

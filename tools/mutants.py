@@ -76,6 +76,9 @@ MUTANTS = [
      "if self.x.min() == self.x.max():", "if self.var == 0.0:"),
     ("power-iteration tolerance 1e-6", "src/splitopt/operators.py",
      "<= 1e-8 * max(lam_new, 1e-300)", "<= 1e-6 * max(lam_new, 1e-300)"),
+    ("adjoint row NaN-blind", "src/splitopt/verification.py",
+     "worst = float(np.maximum(worst, abs(float(bx @ y - x @ bty)) / scale))",
+     "worst = float(max(worst, abs(float(bx @ y - x @ bty)) / scale))"),
 ]
 
 
