@@ -134,26 +134,24 @@ def preset_config(problem, preset, solver, **overrides):
     holds strictly, and ||B|| is its square root; gamma defaults to the problem's
     suggested value or 1.9/L.  Under type-I and type-II, a single-loop solver that a
     nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
-    takes that nested solver's steps through the map.  An unknown id raises ConfigError.
+    takes that nested solver's steps through the map.  An unknown id raises ConfigError,
+    and so does a constant a derived step needs that is not positive and finite: the
+    message names L (pass gamma=) or lambda_max(B B^T) (pass the steps under custom).
     """
     check_preset(preset)
     check_solver(solver)
     params = {}
     if preset != "custom":
-        lam_max = problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN)
+        lam_max = positive("lambda_max(B B^T) (pass the steps under custom)",
+                           problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN), ConfigError)
         norm_b = math.sqrt(lam_max)
         if preset == "type-I":
             params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
         else:
             params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
     if "gamma" not in overrides:
-        gamma = problem.gamma_default
-        if gamma is None:
-            lip = problem.f.lipschitz
-            if lip <= 0:
-                raise ConfigError("cannot derive gamma for a problem with L = 0; pass gamma=")
-            gamma = 1.9 / lip
-        params["gamma"] = gamma
+        params["gamma"] = (problem.gamma_default
+                           or 1.9 / positive("L (pass gamma=)", problem.f.lipschitz, ConfigError))
     params.update(overrides)
     config = SolverConfig(param_preset=preset, **params)
     maps = [row.to_single for row in _TABLE.values() if row.single == solver and row.to_single]

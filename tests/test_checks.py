@@ -43,6 +43,12 @@ def _l0_problem():
     return SplitProblem(f=f, g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
 
 
+def _b0_problem():
+    """B = 0 (lambda_max(B B^T) = 0) and no b_lam_max, so a preset cannot derive lam."""
+    return SplitProblem(f=LeastSquares(Identity(4), np.zeros(4)), g=ZeroFunction(),
+                        h=ZeroFunction(), B=DenseMatrix(np.zeros((2, 4))))
+
+
 #: case id -> (call, exception type, full message)
 CASES = {
     "solver-config-gamma": (lambda: SolverConfig(gamma=NAN), ConfigError,
@@ -106,7 +112,10 @@ CASES = {
     "box-empty": (lambda: BoxIndicator(1, 0), ValueError, "empty box: [1, 0]"),
     "box-nan": (lambda: BoxIndicator(NAN, 1.0), ValueError, "empty box: [nan, 1.0]"),
     "preset-gamma-l0": (lambda: preset_config(_l0_problem(), "type-II", "fb-dual"), ConfigError,
-                        "cannot derive gamma for a problem with L = 0; pass gamma="),
+                        "L (pass gamma=) must be positive and finite, got 0.0"),
+    "preset-lam-max-b0": (
+        lambda: preset_config(_b0_problem(), "type-I", "fb-dual"), ConfigError,
+        "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got 0.0"),
     "preset-solver-id": (
         lambda: preset_config(build_fused_lasso(m=3, n=6), "type-II", "condat_vu"), ConfigError,
         f"unknown solver id 'condat_vu'; known: {KNOWN}"),

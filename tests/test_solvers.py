@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import re
 import sys
 import threading
@@ -14,6 +15,7 @@ from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso,
 from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
 from splitopt.smooth import LeastSquares
 from splitopt.solvers import (
+    PRESETS,
     SOLVERS,
     ConfigError,
     DivergenceError,
@@ -356,7 +358,8 @@ class TestConfigValidation:
         assert a.norm_sq == np.inf
         p = SplitProblem(f=LeastSquares(a, np.zeros(2)), g=L1Norm(0.1), h=L1Norm(0.1),
                          B=Identity(2))
-        with pytest.raises(ConfigError, match="gamma must be positive"):
+        with pytest.raises(ConfigError, match=r"^L \(pass gamma=\) must be positive and finite, "
+                                              r"got inf$"):
             preset_config(p, "type-II", "fb-dual")
         with pytest.raises(ConfigError, match="with L=inf"):
             check_steps("fb-dual", p, SolverConfig(gamma=1.0, lam=0.5))
@@ -679,6 +682,52 @@ class TestPresetSteps:
             except ConfigError as exc:
                 rejected[name] = str(exc)
         assert rejected == {}
+
+    @pytest.mark.parametrize("preset", ["type-I", "type-II"])
+    @pytest.mark.parametrize("b", [DenseMatrix(np.zeros((2, 3))), SparseMatrix(2, 3, [], [], [])],
+                             ids=["dense", "sparse"])
+    def test_a_zero_lambda_max_names_the_constant(self, b, preset):
+        # without b_lam_max, 1.9 / lambda_max raised ZeroDivisionError
+        with pytest.raises(ConfigError) as excinfo:
+            preset_config(_problem_with_b(b), preset, "fb-dual")
+        assert type(excinfo.value) is ConfigError
+        assert str(excinfo.value) == (
+            "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got 0.0")
+
+    @pytest.mark.parametrize("preset", ["type-I", "type-II"])
+    def test_an_overflowing_lambda_max_names_the_constant(self, preset):
+        # a singular value of 1e200 squares to inf, and lam = 1 / inf read as a bad lam of 0.0
+        with pytest.raises(ConfigError) as excinfo:
+            b = DenseMatrix([[1e200, 0, 0], [0, 1, 0]])
+            preset_config(_problem_with_b(b), preset, "fb-dual")
+        assert type(excinfo.value) is ConfigError
+        assert str(excinfo.value) == (
+            "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got inf")
+
+    def test_every_spectral_constant_gives_steps_or_a_config_error(self):
+        # A = a I and B = b I, dense and sparse, with a, b zero, underflowing to 0,
+        # subnormal when squared, unit and overflowing to inf; only a = b = 1 gets steps
+        def scaled_identities():
+            for v in (0.0, 1e-200, 1e-160, 1.0, 1e160, 1e200):
+                yield v, DenseMatrix(v * np.eye(3))
+                yield v, SparseMatrix(3, 3, [0, 1, 2], [0, 1, 2], [v] * 3)
+
+        admitted = set()
+        for (a, op_a), (b, op_b) in itertools.product(scaled_identities(), repeat=2):
+            p = SplitProblem(f=LeastSquares(op_a, np.zeros(3)), g=L1Norm(0.1), h=L1Norm(0.1),
+                             B=op_b)
+            for preset, name in itertools.product(PRESETS, SOLVERS):
+                try:
+                    check_steps(name, p, preset_config(p, preset, name))
+                except ConfigError:
+                    continue
+                admitted.add((a, b, preset))
+        assert admitted == {(1.0, 1.0, "type-I"), (1.0, 1.0, "type-II")}
+
+
+def _problem_with_b(b):
+    return SplitProblem(f=LeastSquares(Identity(3), np.zeros(3)), g=L1Norm(0.1), h=L1Norm(0.1),
+                        B=b)
 
 
 class TestDivergenceDetection:

@@ -61,6 +61,10 @@ MUTANTS = [
     ("type-I lam 1.8", SOLVERS, "\"lam\": 1.9 / lam_max", "\"lam\": 1.8 / lam_max"),
     ("preset margin dropped", SOLVERS,
      "problem.B.norm_sq * (1.0 + _PRESET_MARGIN)", "problem.B.norm_sq"),
+    ("preset lambda_max read unchecked", SOLVERS,
+     "positive(\"lambda_max(B B^T) (pass the steps under custom)\",\n                           "
+     "problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN), ConfigError)",
+     "(problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN))"),
     ("preset map not applied", SOLVERS,
      "return maps[0](config) if maps and preset != \"custom\" else config", "return config"),
     ("preset map applied to custom steps", SOLVERS,
