@@ -684,25 +684,19 @@ class TestPresetSteps:
         assert rejected == {}
 
     @pytest.mark.parametrize("preset", ["type-I", "type-II"])
-    @pytest.mark.parametrize("b", [DenseMatrix(np.zeros((2, 3))), SparseMatrix(2, 3, [], [], [])],
-                             ids=["dense", "sparse"])
-    def test_a_zero_lambda_max_names_the_constant(self, b, preset):
-        # without b_lam_max, 1.9 / lambda_max raised ZeroDivisionError
+    @pytest.mark.parametrize("b, shown", [
+        (DenseMatrix(np.zeros((2, 3))), "0.0"), (SparseMatrix(2, 3, [], [], []), "0.0"),
+        (DenseMatrix([[1e200, 0, 0], [0, 1, 0]]), "inf"),
+    ], ids=["dense-zero", "sparse-zero", "dense-overflow"])
+    def test_a_lambda_max_that_is_zero_or_inf_is_named(self, b, shown, preset):
+        # named, rather than a ZeroDivisionError or a bad lam of 1 / inf = 0.0
+        p = SplitProblem(f=LeastSquares(Identity(3), np.zeros(3)), g=L1Norm(0.1), h=L1Norm(0.1),
+                         B=b)
         with pytest.raises(ConfigError) as excinfo:
-            preset_config(_problem_with_b(b), preset, "fb-dual")
+            preset_config(p, preset, "fb-dual")
         assert type(excinfo.value) is ConfigError
-        assert str(excinfo.value) == (
-            "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got 0.0")
-
-    @pytest.mark.parametrize("preset", ["type-I", "type-II"])
-    def test_an_overflowing_lambda_max_names_the_constant(self, preset):
-        # a singular value of 1e200 squares to inf, and lam = 1 / inf read as a bad lam of 0.0
-        with pytest.raises(ConfigError) as excinfo:
-            b = DenseMatrix([[1e200, 0, 0], [0, 1, 0]])
-            preset_config(_problem_with_b(b), preset, "fb-dual")
-        assert type(excinfo.value) is ConfigError
-        assert str(excinfo.value) == (
-            "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got inf")
+        assert str(excinfo.value) == ("lambda_max(B B^T) (pass the steps under custom) must be "
+                                      f"positive and finite, got {shown}")
 
     def test_every_spectral_constant_gives_steps_or_a_config_error(self):
         # A = a I and B = b I, dense and sparse, with a, b zero, underflowing to 0,
@@ -723,11 +717,6 @@ class TestPresetSteps:
                     continue
                 admitted.add((a, b, preset))
         assert admitted == {(1.0, 1.0, "type-I"), (1.0, 1.0, "type-II")}
-
-
-def _problem_with_b(b):
-    return SplitProblem(f=LeastSquares(Identity(3), np.zeros(3)), g=L1Norm(0.1), h=L1Norm(0.1),
-                        B=b)
 
 
 class TestDivergenceDetection:
