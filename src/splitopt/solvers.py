@@ -98,9 +98,9 @@ def check_loop_control(name, value):
 
 @dataclass
 class SolverConfig:
-    """Step sizes and loop controls shared by all solvers; a solver reads the
-    steps that its row of ``_TABLE`` lists.  ``param_preset`` records the
-    named step rule the config was derived from, if any."""
+    """Step sizes and loop controls shared by all solvers; a solver reads the steps that its
+    row of ``_TABLE`` lists.  ``observe``, if set, is the read-only hook ``_run`` calls after
+    each outer step.  ``param_preset`` records the named step rule the config came from, if any."""
 
     gamma: float
     lam: float | None = None
@@ -109,12 +109,14 @@ class SolverConfig:
     inner_iters: int = 1
     eps: float = 1e-6
     max_outer: int = 5000
-    record_iterates: bool = False
+    observe: object = None
     param_preset: str | None = None
 
     def __post_init__(self):
         # an infinite step or tolerance cannot be iterated with
         positive("gamma", self.gamma, ConfigError)
+        if not (self.observe is None or callable(self.observe)):
+            raise ConfigError(f"observe must be callable or None, got {self.observe!r}")
         for name in ("inner_iters", "eps", "max_outer"):
             check_loop_control(name, getattr(self, name))
         for name in ("lam", "sigma", "tau"):
@@ -174,7 +176,6 @@ class SolveTrace:
     final_x: np.ndarray
     converged: bool
     final_state: dict = field(default_factory=dict)
-    iterates: list | None = None
 
     @property
     def total_outer(self):
@@ -263,20 +264,18 @@ def _start_state(problem, start):
 
 
 def _run(problem, config, solver, step, start):
-    """Outer-loop driver: start state, stopping test, divergence guard, trace recording."""
+    """Outer-loop driver: start state, stopping test, divergence guard, trace recording,
+    then ``config.observe(k, x, state)``, ``state`` the ``final_state`` of a stop at k."""
     state = _start_state(problem, start)
     keys = [key for key, _ in start]
     records = []
-    iterates = [] if config.record_iterates else None
     x_prev = None
     obj_ref = None
-    converged = False
-    ref = None
-    if problem.ground_truth is not None:
-        ref = Reference(problem.ground_truth, problem.dynamic_range)
+    ref = None if problem.ground_truth is None else Reference(problem.ground_truth, problem.dynamic_range)
     for k in range(1, config.max_outer + 1):
         state, x = step(state)
-        for key, value in {"x": x, **dict(zip(keys, state))}.items():  # state "x" is x
+        named = dict(zip(keys, state))
+        for key, value in {"x": x, **named}.items():  # state "x" is x
             if not np.all(np.isfinite(value)):
                 raise DivergenceError(solver, k, f"non-finite {key}")
         obj = problem.objective(x)
@@ -288,19 +287,12 @@ def _run(problem, config, solver, step, start):
         if x_prev is not None:
             rel = float(np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30))
         records.append(IterationRecord(k, obj, rel, *(() if ref is None else ref(x))))
-        if iterates is not None:
-            iterates.append(x.copy())
+        if config.observe is not None:
+            config.observe(k, x, named)
         x_prev = x
         if rel <= config.eps:
-            converged = True
             break
-    return SolveTrace(
-        records=records,
-        final_x=x_prev,
-        converged=converged,
-        final_state=dict(zip(keys, state)),
-        iterates=iterates,
-    )
+    return SolveTrace(records=records, final_x=x_prev, converged=rel <= config.eps, final_state=named)
 
 
 # ---------------------------------------------------------------------------

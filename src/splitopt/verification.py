@@ -6,6 +6,7 @@ a bool, which a NaN makes False: maxima propagate NaN and tests are negated.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
@@ -240,15 +241,23 @@ def operator_suite(seed=0):
     return results
 
 
-def _identity_row(name, tr_a, tr_b, iters, skip_b=0):
-    """One suite row: both trajectories ran their ``iters`` iterations, a's iterates match
-    b's read ``skip_b`` steps later and, at ``skip_b`` = 0, so do their final states, to 1e-12."""
-    ran = min(len(tr_a.iterates), len(tr_b.iterates))
+def _observed(solve, problem, config, **start):
+    """A run's (x, state) at each outer step, copied as ``config.observe`` sees them."""
+    steps = []
+    solve(problem, replace(config, observe=lambda k, x, state: steps.append(
+        (x.copy(), {key: value.copy() for key, value in state.items()}))), **start)
+    return steps
+
+
+def _identity_row(name, run_a, run_b, iters, skip_b=0):
+    """One suite row: both ``_observed`` runs ran their ``iters`` iterations, a's iterates
+    match b's read ``skip_b`` steps later and, at ``skip_b`` = 0, so do their last states, to 1e-12."""
+    ran = min(len(run_a), len(run_b))
     if ran < iters:
         return name, False, f"stopped after {ran} of {iters} iterations"
-    pairs = list(zip(tr_a.iterates, tr_b.iterates[skip_b:]))
+    pairs = [(x_a, x_b) for (x_a, _), (x_b, _) in zip(run_a, run_b[skip_b:])]
     if skip_b == 0:
-        pairs += [(value, tr_b.final_state[key]) for key, value in tr_a.final_state.items()]
+        pairs += [(value, run_b[-1][1][key]) for key, value in run_a[-1][1].items()]
     gap = float(np.max([np.abs(a - b).max() for a, b in pairs]))
     return name, gap < 1e-12, f"max gap {gap:.2e}"
 
@@ -278,18 +287,17 @@ def equivalence_suite(seed=0):
         for nested, row in _TABLE.items():
             if row.single is None:
                 continue
-            c = SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters, record_iterates=True,
+            c = SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters,
                              **{name: tau if name == "tau" else step
                                 for name in row.steps if name != "gamma"})
-            single = SOLVERS[row.single](p, row.to_single(c) if row.to_single else c)
-            results.append(_identity_row(f"{nested}(J=1) == {row.single}{tag}", SOLVERS[nested](p, c),
-                                         single, iters))
+            single = _observed(SOLVERS[row.single], p, row.to_single(c) if row.to_single else c)
+            results.append(_identity_row(f"{nested}(J=1) == {row.single}{tag}",
+                                         _observed(SOLVERS[nested], p, c), single, iters))
 
     p_id = _identity_b_problem(seed + 1)
-    c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters,
-                        record_iterates=True)
-    results.append(_identity_row("pd3o(lam=1,B=I) == davis-yin", solve_pd3o(p_id, c_id),
-                                 solve_davis_yin(p_id, c_id), iters))
+    c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters)
+    results.append(_identity_row("pd3o(lam=1,B=I) == davis-yin", _observed(solve_pd3o, p_id, c_id),
+                                 _observed(solve_davis_yin, p_id, c_id), iters))
 
     # pdfp == pd3o holds pointwise in the g = 0 regime; start at a stationary
     # point of f so the matched shadow start z0 = x0 - gamma grad f(x0) - gamma B^T y0
@@ -299,10 +307,10 @@ def equivalence_suite(seed=0):
     x0 = np.linalg.lstsq(p0.f.op.matrix, p0.f.target, rcond=None)[0]
     y0 = np.zeros(p0.B.out_dim)
     z0 = x0 - g0 * p0.f.gradient(x0) - g0 * p0.B.adjoint_apply(y0)
-    c0 = SolverConfig(gamma=g0, lam=0.25, eps=1e-16, max_outer=iters + 1, record_iterates=True)
+    c0 = SolverConfig(gamma=g0, lam=0.25, eps=1e-16, max_outer=iters + 1)
     results.append(_identity_row("pdfp == pd3o (x-iterates, matched start)",
-                                 solve_pdfp(p0, c0, x0=x0, y0=y0),
-                                 solve_pd3o(p0, c0, z0=z0, y0=y0), iters + 1, skip_b=1))
+                                 _observed(solve_pdfp, p0, c0, x0=x0, y0=y0),
+                                 _observed(solve_pd3o, p0, c0, z0=z0, y0=y0), iters + 1, skip_b=1))
     return results
 
 

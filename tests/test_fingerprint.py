@@ -36,8 +36,9 @@ def fingerprint(family):
     problem = FAMILIES[family]()
     rows = {}
     for solver in SOLVERS:
-        config = preset_config(problem, "type-II", solver, inner_iters=3, eps=1e-300,
-                               max_outer=ITERS[-1], record_iterates=True)
+        xs = []
+        config = preset_config(problem, "type-II", solver, inner_iters=3, eps=1e-300, max_outer=ITERS[-1],
+                               observe=lambda k, x, state: xs.append(x.copy()))
         try:
             check_steps(solver, problem, config)
         except ConfigError:  # davis-yin needs B = I
@@ -45,7 +46,7 @@ def fingerprint(family):
         trace = SOLVERS[solver](problem, config)
         for k in ITERS:
             rows[family, solver, str(k)] = (trace.records[k - 1].objective.hex(),
-                                            float(np.linalg.norm(trace.iterates[k - 1])).hex())
+                                            float(np.linalg.norm(xs[k - 1])).hex())
     return rows
 
 

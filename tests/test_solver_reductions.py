@@ -5,8 +5,6 @@ the CT and lrtv-sr families, whose rows carry the family's tag.  Every row but
 the matched-start ``pdfp == pd3o`` one also compares the two runs' final
 states, the dual y of h included, which every solver carries at unit scale."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from conftest import assert_row
@@ -63,9 +61,8 @@ def test_fb_pd_one_inner_step_is_condat_vu_on_family(equivalence_rows, family):
 
 def test_short_trajectory_fails_its_row():
     # identical iterates, but one run stopped before the iterations asked for
-    state = {"x": np.zeros(3), "y": np.zeros(2)}
-    full = SimpleNamespace(iterates=[np.zeros(3)] * 10, final_state=state)
-    short = SimpleNamespace(iterates=[np.zeros(3)] * 9, final_state=state)
+    step = (np.zeros(3), {"x": np.zeros(3), "y": np.zeros(2)})
+    full, short = [step] * 10, [step] * 9
     assert _identity_row("a == b", full, full, 10) == ("a == b", True, "max gap 0.00e+00")
     for tr_a, tr_b in ((full, short), (short, full)):
         name, ok, detail = _identity_row("a == b", tr_a, tr_b, 10)
@@ -75,6 +72,6 @@ def test_short_trajectory_fails_its_row():
 def test_final_state_gap_fails_its_row():
     # identical iterates, but the final duals differ by 1e-9
     state = {"x": np.zeros(3), "y": np.zeros(2)}
-    a = SimpleNamespace(iterates=[np.zeros(3)] * 10, final_state=state)
-    b = SimpleNamespace(iterates=[np.zeros(3)] * 10, final_state={**state, "y": np.full(2, 1e-9)})
+    a = [(np.zeros(3), state)] * 10
+    b = a[:-1] + [(np.zeros(3), {**state, "y": np.full(2, 1e-9)})]
     assert _identity_row("a == b", a, b, 10) == ("a == b", False, "max gap 1.00e-09")

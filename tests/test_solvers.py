@@ -31,7 +31,7 @@ from splitopt.solvers import (
     solve_tos_dual,
     solve_tos_pd_single,
 )
-from splitopt.verification import _identity_b_problem
+from splitopt.verification import _identity_b_problem, _observed
 
 
 def quadratic_identity_problem(n=8, seed=0):
@@ -46,6 +46,11 @@ def quadratic_identity_problem(n=8, seed=0):
 
 def small_lasso(seed=3):
     return build_fused_lasso(m=30, n=60, seed=seed)
+
+
+def x_iterates(solve, problem, config, **start):
+    """A run's x at each outer step, read through the ``observe`` hook."""
+    return [x for x, _ in _observed(solve, problem, config, **start)]
 
 
 class TestSmoothFunctions:
@@ -121,9 +126,8 @@ class TestDegenerateReductions:
     def test_fb_dual_h_zero_is_one_gradient_step(self):
         # f = 0.5||x - b||^2, g = h = 0, gamma = 1: the first iterate is b
         p, b = quadratic_identity_problem()
-        c = SolverConfig(gamma=1.0, lam=1.0, eps=1e-14, max_outer=10, record_iterates=True)
-        tr = solve_fb_dual(p, c)
-        np.testing.assert_allclose(tr.iterates[0], b, atol=1e-12)
+        c = SolverConfig(gamma=1.0, lam=1.0, eps=1e-14, max_outer=10)
+        np.testing.assert_allclose(x_iterates(solve_fb_dual, p, c)[0], b, atol=1e-12)
 
     def test_fb_pd_h_zero_matches_fb_dual(self):
         rng = np.random.default_rng(4)
@@ -148,14 +152,14 @@ class TestDegenerateReductions:
         p = SplitProblem(f=LeastSquares(DenseMatrix(a), b), g=ZeroFunction(),
                          h=ZeroFunction(), B=Identity(6))
         gamma = 1.0 / p.f.lipschitz
-        c = SolverConfig(gamma=gamma, lam=1.0, eps=1e-16, max_outer=60, record_iterates=True)
-        tr = solve_tos_dual(p, c)
+        c = SolverConfig(gamma=gamma, lam=1.0, eps=1e-16, max_outer=60)
+        xs = x_iterates(solve_tos_dual, p, c)
         # oracle: plain gradient descent from the same start; the scheme records
         # the prox of the shadow variable before updating it, so iterate k is
         # the k-th gradient-descent point counting from the start
         x = np.zeros(6)
         for k in range(60):
-            np.testing.assert_allclose(tr.iterates[k], x, atol=1e-10)
+            np.testing.assert_allclose(xs[k], x, atol=1e-10)
             x = x - gamma * a.T @ (a @ x - b)
         x_star = np.linalg.lstsq(a, b, rcond=None)[0]
         long_run = solve_tos_dual(p, SolverConfig(gamma=gamma, lam=1.0, eps=1e-13,
@@ -170,10 +174,9 @@ class TestDegenerateReductions:
         # x - gamma grad f(x) at x = z, as the forward-backward step does, and
         # records x = z before the step: tos iterate k+1 is fb iterate k
         p = build_fused_lasso(m=30, n=60, mu1=0.0, seed=7)
-        c = preset_config(p, "type-II", fb, inner_iters=3, eps=1e-300, max_outer=201,
-                          record_iterates=True)
-        fb_iterates = SOLVERS[fb](p, dataclasses.replace(c, max_outer=200)).iterates
-        tos_iterates = SOLVERS[tos](p, c).iterates
+        c = preset_config(p, "type-II", fb, inner_iters=3, eps=1e-300, max_outer=201)
+        fb_iterates = x_iterates(SOLVERS[fb], p, dataclasses.replace(c, max_outer=200))
+        tos_iterates = x_iterates(SOLVERS[tos], p, c)
         gaps = [np.abs(a - b).max() for a, b in zip(tos_iterates[1:], fb_iterates, strict=True)]
         assert max(gaps) < 1e-12
 
@@ -185,13 +188,14 @@ class TestDegenerateReductions:
             g=L1Norm(0.3), h=ZeroFunction(), B=Identity(10),
         )
         gamma = 1.0 / p.f.lipschitz
-        c = SolverConfig(gamma=gamma, lam=0.05, eps=1e-16, max_outer=50, record_iterates=True)
-        tr = solve_pdfp(p, c)
-        assert np.abs(tr.final_state["y"]).max() < 1e-12
+        c = SolverConfig(gamma=gamma, lam=0.05, eps=1e-16, max_outer=50)
+        steps = _observed(solve_pdfp, p, c)
+        assert len(steps) == 50
         x = np.zeros(10)
-        for k in range(50):
+        for k, (x_k, state) in enumerate(steps):
+            assert np.abs(state["y"]).max() < 1e-12
             x = p.g.prox(gamma, x - gamma * p.f.gradient(x))
-            np.testing.assert_allclose(tr.iterates[k], x, atol=1e-10)
+            np.testing.assert_allclose(x_k, x, atol=1e-10)
 
     def test_condat_vu_small_sigma_is_proximal_gradient(self):
         rng = np.random.default_rng(7)
@@ -201,13 +205,12 @@ class TestDegenerateReductions:
             g=L1Norm(0.3), h=ZeroFunction(), B=Identity(10),
         )
         tau_p = 1.0 / p.f.lipschitz
-        c = SolverConfig(gamma=1.0, sigma=1e-12, tau=tau_p, eps=1e-16, max_outer=50,
-                         record_iterates=True)
-        tr = solve_condat_vu(p, c)
+        c = SolverConfig(gamma=1.0, sigma=1e-12, tau=tau_p, eps=1e-16, max_outer=50)
+        xs = x_iterates(solve_condat_vu, p, c)
         x = np.zeros(10)
         for k in range(50):
             x = p.g.prox(tau_p, x - tau_p * p.f.gradient(x))
-            np.testing.assert_allclose(tr.iterates[k], x, atol=1e-9)
+            np.testing.assert_allclose(xs[k], x, atol=1e-9)
 
     def test_davis_yin_projected_gradient_oracle(self):
         rng = np.random.default_rng(8)
@@ -420,9 +423,10 @@ class TestConfigValidation:
 class TestStoppingAndTrace:
     def test_rel_change_definition(self):
         p = small_lasso()
+        xs = []
         tr = solve_fb_dual(p, preset_config(p, "type-II", "fb-dual", eps=1e-6,
-                                            record_iterates=True))
-        xs = tr.iterates
+                                            observe=lambda k, x, state: xs.append(x.copy())))
+        assert len(xs) == tr.total_outer
         for k in range(1, len(xs)):
             expected = np.linalg.norm(xs[k] - xs[k - 1]) / max(np.linalg.norm(xs[k - 1]), 1e-30)
             assert tr.records[k].rel_change == pytest.approx(expected, rel=1e-12)
@@ -562,23 +566,24 @@ class TestStartState:
         solve = SOLVERS[name]
         keys = [k for k in inspect.signature(solve).parameters if k.endswith("0")]
         first = keys[0]
-        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=6,
-                         record_iterates=True)
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=6)
         start = np.random.default_rng(13).standard_normal(9)
         kept = start.copy()
 
         def explicit(x):
             return {k: x if k in (first, "v0") else np.zeros(9) for k in keys}
 
-        given = solve(self._problem(), c, **explicit(start))
+        given = _observed(solve, self._problem(), c, **explicit(start))
         runs = [
-            (given, solve(self._problem(), c, **{first: start})),
-            (given, solve(self._problem(x0=start), c)),
-            (solve(self._problem(), c, **explicit(np.zeros(9))), solve(self._problem(), c)),
+            (given, _observed(solve, self._problem(), c, **{first: start})),
+            (given, _observed(solve, self._problem(x0=start), c)),
+            (_observed(solve, self._problem(), c, **explicit(np.zeros(9))),
+             _observed(solve, self._problem(), c)),
         ]
         for want, got in runs:
-            assert all(np.array_equal(a, b) for a, b in zip(want.iterates, got.iterates))
-            assert want.final_state.keys() == got.final_state.keys()
+            assert len(want) == len(got)
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(want, got))
+            assert want[-1][1].keys() == got[-1][1].keys()
         assert np.array_equal(start, kept)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
