@@ -137,15 +137,19 @@ def preset_config(problem, preset, solver, **overrides):
     suggested value or 1.9/L.  Under type-I and type-II, a single-loop solver that a
     nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
     takes that nested solver's steps through the map.  An unknown id raises ConfigError,
-    and so does a constant a derived step needs that is not positive and finite: the
-    message names L (pass gamma=) or lambda_max(B B^T) (pass the steps under custom).
+    and so does a constant a derived step needs that is not positive, finite and normal:
+    the message names L (pass gamma=) or lambda_max(B B^T) (pass the steps under custom).
     """
+    def constant(name, value):  # a step divides by it, so a subnormal one would overflow it
+        if positive(name, value, ConfigError) < np.finfo(float).tiny:
+            raise ConfigError(f"{name} must be at least {np.finfo(float).tiny}, got {value}")
+        return float(value)
     check_preset(preset)
     check_solver(solver)
     params = {}
     if preset != "custom":
-        lam_max = positive("lambda_max(B B^T) (pass the steps under custom)",
-                           problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN), ConfigError)
+        lam_max = constant("lambda_max(B B^T) (pass the steps under custom)",
+                           problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN))
         norm_b = math.sqrt(lam_max)
         if preset == "type-I":
             params = {"lam": 1.9 / lam_max, "sigma": 1.0 / norm_b**2, "tau": 1.0}
@@ -153,7 +157,7 @@ def preset_config(problem, preset, solver, **overrides):
             params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
     if "gamma" not in overrides:
         params["gamma"] = (problem.gamma_default
-                           or 1.9 / positive("L (pass gamma=)", problem.f.lipschitz, ConfigError))
+                           or 1.9 / constant("L (pass gamma=)", problem.f.lipschitz))
     params.update(overrides)
     config = SolverConfig(param_preset=preset, **params)
     maps = [row.to_single for row in _TABLE.values() if row.single == solver and row.to_single]

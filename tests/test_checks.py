@@ -49,10 +49,20 @@ def _b0_problem():
                         h=ZeroFunction(), B=DenseMatrix(np.zeros((2, 4))))
 
 
+def _subnormal_problem(operator):
+    """A or B = 1e-160 I, whose spectral constant 1e-320 is subnormal: the step a preset
+    divides by it overflows, and was reported as a bad gamma or lam of inf."""
+    tiny, eye = DenseMatrix(1e-160 * np.eye(3)), Identity(3)
+    a, b = (tiny, eye) if operator == "A" else (eye, tiny)
+    return SplitProblem(f=LeastSquares(a, np.zeros(3)), g=ZeroFunction(), h=ZeroFunction(), B=b)
+
+
 #: case id -> (call, exception type, full message)
 CASES = {
     "solver-config-gamma": (lambda: SolverConfig(gamma=NAN), ConfigError,
                             "gamma must be positive and finite, got nan"),
+    "solver-config-observe": (lambda: SolverConfig(gamma=1.0, observe=3), ConfigError,
+                              "observe must be callable or None, got 3"),
     "solver-config-max-outer": (lambda: SolverConfig(gamma=1.0, max_outer=3.5), ConfigError,
                                 "max_outer must be an integer >= 1, got 3.5"),
     "loop-control-eps": (lambda: check_loop_control("eps", 0.0), ConfigError,
@@ -116,6 +126,13 @@ CASES = {
     "preset-lam-max-b0": (
         lambda: preset_config(_b0_problem(), "type-I", "fb-dual"), ConfigError,
         "lambda_max(B B^T) (pass the steps under custom) must be positive and finite, got 0.0"),
+    "preset-gamma-subnormal-l": (
+        lambda: preset_config(_subnormal_problem("A"), "type-II", "fb-dual"), ConfigError,
+        "L (pass gamma=) must be at least 2.2250738585072014e-308, got 1e-320"),
+    "preset-lam-max-subnormal-b": (
+        lambda: preset_config(_subnormal_problem("B"), "type-I", "fb-dual"), ConfigError,
+        "lambda_max(B B^T) (pass the steps under custom) must be at least "
+        "2.2250738585072014e-308, got 1e-320"),
     "preset-solver-id": (
         lambda: preset_config(build_fused_lasso(m=3, n=6), "type-II", "condat_vu"), ConfigError,
         f"unknown solver id 'condat_vu'; known: {KNOWN}"),

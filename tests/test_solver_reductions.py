@@ -3,13 +3,18 @@ iteration and their single-loop counterparts, each read from its row of
 ``equivalence_suite``: on the fused lasso, and the four J = 1 rows again on
 the CT and lrtv-sr families, whose rows carry the family's tag.  Every row but
 the matched-start ``pdfp == pd3o`` one also compares the two runs' final
-states, the dual y of h included, which every solver carries at unit scale."""
+states, the dual y of h included, which every solver carries at unit scale.
+The two pairs that evaluate the same expressions in the same order are also
+compared bit for bit, x and every state variable at every step, through the
+solvers' ``observe`` hook."""
 
 import numpy as np
 import pytest
 from conftest import assert_row
 
-from splitopt.verification import _identity_row
+from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
+from splitopt.solvers import _TABLE, SOLVERS, SolverConfig
+from splitopt.verification import _identity_row, _observed
 
 
 def test_fb_dual_one_inner_step_is_pdfp(equivalence_rows):
@@ -75,3 +80,32 @@ def test_final_state_gap_fails_its_row():
     a = [(np.zeros(3), state)] * 10
     b = a[:-1] + [(np.zeros(3), {**state, "y": np.full(2, 1e-9)})]
     assert _identity_row("a == b", a, b, 10) == ("a == b", False, "max gap 1.00e-09")
+
+
+#: equivalence_suite's three small instances, at seed 0
+INSTANCES = {
+    "fused-lasso": lambda: build_fused_lasso(m=30, n=60, seed=0),
+    "ct": lambda: build_ct_problem(img_side=16, views=6, rays=24, seed=0),
+    "lrtv-sr": lambda: build_lrtv_problem(rows=16, cols=16, seed=0),
+}
+
+
+@pytest.mark.parametrize("family", INSTANCES)
+@pytest.mark.parametrize("nested", ["fb-dual", "tos-pd"])
+def test_exact_pair_is_bitwise_equal_at_every_step(nested, family):
+    # fb-dual(J=1) and pdfp, and tos-pd(J=1) and tos-pd-single, evaluate the same
+    # expressions in the same order, so x and every state variable agree to the bit
+    # at every step, with equivalence_suite's steps; its 1e-12 row would pass a change
+    # that breaks this, so such a change has to say that the pair stopped being exact
+    p, row = INSTANCES[family](), _TABLE[nested]
+    assert row.to_single is None
+    c = SolverConfig(gamma=1.9 / p.f.lipschitz, eps=1e-16, max_outer=200,
+                     **{name: 1.0 if name == "tau" else 0.9 / p.B.norm_sq
+                        for name in row.steps if name != "gamma"})
+    a, b = _observed(SOLVERS[nested], p, c), _observed(SOLVERS[row.single], p, c)
+    assert len(a) == len(b) == 200
+    for k, ((x_a, state_a), (x_b, state_b)) in enumerate(zip(a, b), 1):
+        assert np.array_equal(x_a, x_b), f"x differs at step {k}"
+        assert state_a.keys() == state_b.keys()
+        for key in state_a:
+            assert np.array_equal(state_a[key], state_b[key]), f"{key} differs at step {k}"

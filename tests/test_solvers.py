@@ -601,6 +601,47 @@ class TestStartState:
             solve(self._problem(x0=bad), c)
 
 
+class TestObserveHook:
+    """``config.observe(k, x, state)``: called once per outer step, after its record,
+    with the state ``final_state`` would hold at a stop there; it cannot steer the run."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_observer_sees_every_step_and_changes_nothing(self, name):
+        p = TestStartState._problem()
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-10, max_outer=500)
+        calls = []
+
+        def observe(k, x, state):
+            calls.append((k, x.copy(), {key: value.copy() for key, value in state.items()}))
+            return True  # ignored
+
+        plain = SOLVERS[name](p, c)
+        tr = SOLVERS[name](p, dataclasses.replace(c, observe=observe))
+        assert [k for k, _, _ in calls] == list(range(1, tr.total_outer + 1))
+        _, x, state = calls[-1]
+        assert np.array_equal(x, tr.final_x)
+        assert state.keys() == tr.final_state.keys()
+        assert all(np.array_equal(state[key], tr.final_state[key]) for key in state)
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(tr.records) == repr(plain.records)
+        assert np.array_equal(tr.final_x, plain.final_x)
+        assert all(np.array_equal(tr.final_state[key], plain.final_state[key]) for key in state)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_observer_exception_propagates_unchanged(self, name):
+        error = LookupError("observer failed at step 3")
+
+        def observe(k, x, state):
+            if k == 3:
+                raise error
+
+        c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=6,
+                         observe=observe)
+        with pytest.raises(LookupError) as info:
+            SOLVERS[name](TestStartState._problem(), c)
+        assert info.value is error
+
+
 class TestStepTable:
     """Each solver reads exactly the steps its row of the solver table lists."""
 

@@ -62,9 +62,14 @@ MUTANTS = [
     ("preset margin dropped", SOLVERS,
      "problem.B.norm_sq * (1.0 + _PRESET_MARGIN)", "problem.B.norm_sq"),
     ("preset lambda_max read unchecked", SOLVERS,
-     "positive(\"lambda_max(B B^T) (pass the steps under custom)\",\n                           "
-     "problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN), ConfigError)",
+     "constant(\"lambda_max(B B^T) (pass the steps under custom)\",\n                           "
+     "problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN))",
      "(problem.b_lam_max or problem.B.norm_sq * (1.0 + _PRESET_MARGIN))"),
+    ("preset admits a subnormal constant", SOLVERS,
+     "if positive(name, value, ConfigError) < np.finfo(float).tiny:",
+     "if positive(name, value, ConfigError) < 0.0:"),
+    ("observer called with k - 1", SOLVERS,
+     "config.observe(k, x, named)", "config.observe(k - 1, x, named)"),
     ("preset map not applied", SOLVERS,
      "return maps[0](config) if maps and preset != \"custom\" else config", "return config"),
     ("preset map applied to custom steps", SOLVERS,
