@@ -37,8 +37,8 @@ def fingerprint(family):
     rows = {}
     for solver in SOLVERS:
         xs = []
-        config = preset_config(problem, "type-II", solver, inner_iters=3, eps=1e-300, max_outer=ITERS[-1],
-                               observe=lambda k, x, state: xs.append(x.copy()))
+        config = preset_config(problem, "type-II", solver, inner_iters=3, eps=1e-300,
+                               max_outer=ITERS[-1], observe=lambda k, x, state: xs.append(x.copy()))
         try:
             check_steps(solver, problem, config)
         except ConfigError:  # davis-yin needs B = I

@@ -93,10 +93,8 @@ INSTANCES = {
 @pytest.mark.parametrize("family", INSTANCES)
 @pytest.mark.parametrize("nested", ["fb-dual", "tos-pd"])
 def test_exact_pair_is_bitwise_equal_at_every_step(nested, family):
-    # fb-dual(J=1) and pdfp, and tos-pd(J=1) and tos-pd-single, evaluate the same
-    # expressions in the same order, so x and every state variable agree to the bit
-    # at every step, with equivalence_suite's steps; its 1e-12 row would pass a change
-    # that breaks this, so such a change has to say that the pair stopped being exact
+    # fb-dual(J=1) == pdfp and tos-pd(J=1) == tos-pd-single evaluate the same expressions
+    # in the same order, so they agree to the bit, which the suite's 1e-12 row cannot see
     p, row = INSTANCES[family](), _TABLE[nested]
     assert row.to_single is None
     c = SolverConfig(gamma=1.9 / p.f.lipschitz, eps=1e-16, max_outer=200,

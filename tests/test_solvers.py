@@ -192,7 +192,7 @@ class TestDegenerateReductions:
         steps = _observed(solve_pdfp, p, c)
         assert len(steps) == 50
         x = np.zeros(10)
-        for k, (x_k, state) in enumerate(steps):
+        for x_k, state in steps:
             assert np.abs(state["y"]).max() < 1e-12
             x = p.g.prox(gamma, x - gamma * p.f.gradient(x))
             np.testing.assert_allclose(x_k, x, atol=1e-10)
@@ -629,10 +629,10 @@ class TestObserveHook:
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_observer_exception_propagates_unchanged(self, name):
-        error = LookupError("observer failed at step 3")
+        error = LookupError("observer failed at step 2")
 
         def observe(k, x, state):
-            if k == 3:
+            if k == 2:  # the first step that could stop the run
                 raise error
 
         c = SolverConfig(gamma=1.0, lam=0.5, sigma=0.25, tau=1.0, eps=1e-16, max_outer=6,
