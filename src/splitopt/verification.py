@@ -30,11 +30,12 @@ from .proxfuncs import (
     ZeroFunction,
 )
 from .smooth import LeastSquares
-from .solvers import _TABLE, SOLVERS, SolverConfig, solve_davis_yin, solve_pd3o, solve_pdfp
+from .solvers import _TABLE, SOLVERS, preset_config, solve_davis_yin, solve_pd3o, solve_pdfp
 
 __all__ = ["prox_suite", "operator_suite", "equivalence_suite", "run_suite", "SUITES"]
 
 _PROX_DIM = 12
+_ITERS = 200  # outer steps of each equivalence row
 
 
 def _worst(values):
@@ -270,47 +271,44 @@ def _identity_b_problem(seed):
                         g=L1Norm(0.3), h=L1Norm(0.5), B=Identity(40))
 
 
-def equivalence_suite(seed=0):
-    """The reduction identities: at one warm-started inner step each nested
-    scheme equals the ``single``-loop scheme its row of ``_TABLE`` names, run
-    with the row's ``to_single`` config map, checked pointwise to 1e-12 over 200
-    iterations of a small instance of each family, and in the whole final state,
-    y included, all with lam = sigma = 0.9 / ||B||^2 and tau = 1; the CT and
-    lrtv-sr rows carry their family's tag."""
-    iters, tau = 200, 1.0
-    results = []
+def _pair_cases(seed):
+    """The J = 1 pairs on a small instance of each family, the CT and lrtv-sr names tagged:
+    (row name, problem, [(solver id, config)] of the nested solver and its ``single``-loop
+    scheme), each config ``preset_config``'s type-II one over ``_ITERS`` outer steps."""
     for tag, p in (("", build_fused_lasso(m=30, n=60, seed=seed)),
                    (" [ct]", build_ct_problem(img_side=16, views=6, rays=24, seed=seed)),
                    (" [lrtv-sr]", build_lrtv_problem(rows=16, cols=16, seed=seed))):
-        gamma = 1.9 / p.f.lipschitz
-        step = 0.9 / p.B.norm_sq
         for nested, row in _TABLE.items():
-            if row.single is None:
-                continue
-            c = SolverConfig(gamma=gamma, eps=1e-16, max_outer=iters,
-                             **{name: tau if name == "tau" else step
-                                for name in row.steps if name != "gamma"})
-            single = _observed(SOLVERS[row.single], p, row.to_single(c) if row.to_single else c)
-            results.append(_identity_row(f"{nested}(J=1) == {row.single}{tag}",
-                                         _observed(SOLVERS[nested], p, c), single, iters))
+            if row.single:
+                yield (f"{nested}(J=1) == {row.single}{tag}", p,
+                       [(s, preset_config(p, "type-II", s, eps=1e-16, max_outer=_ITERS))
+                        for s in (nested, row.single)])
+
+
+def equivalence_suite(seed=0):
+    """The reduction identities: at one warm-started inner step each nested
+    scheme equals the ``single``-loop scheme its row of ``_TABLE`` names, both run
+    at their ``_pair_cases`` steps, checked pointwise to 1e-12 over 200 iterations
+    of a small instance of each family, and in the whole final state, y included."""
+    results = [_identity_row(name, *(_observed(SOLVERS[s], p, c) for s, c in runs), _ITERS)
+               for name, p, runs in _pair_cases(seed)]
 
     p_id = _identity_b_problem(seed + 1)
-    c_id = SolverConfig(gamma=1.9 / p_id.f.lipschitz, lam=1.0, eps=1e-16, max_outer=iters)
+    c_id = preset_config(p_id, "custom", "pd3o", lam=1.0, eps=1e-16, max_outer=_ITERS)
     results.append(_identity_row("pd3o(lam=1,B=I) == davis-yin", _observed(solve_pd3o, p_id, c_id),
-                                 _observed(solve_davis_yin, p_id, c_id), iters))
+                                 _observed(solve_davis_yin, p_id, c_id), _ITERS))
 
     # pdfp == pd3o holds pointwise in the g = 0 regime; start at a stationary
     # point of f so the matched shadow start z0 = x0 - gamma grad f(x0) - gamma B^T y0
     # coincides with x0, and compare with the one-step index offset
     p0 = build_fused_lasso(m=30, n=60, mu1=0.0, seed=seed)
-    g0 = 1.9 / p0.f.lipschitz
+    c0 = preset_config(p0, "custom", "pdfp", lam=0.25, eps=1e-16, max_outer=_ITERS + 1)
     x0 = np.linalg.lstsq(p0.f.op.matrix, p0.f.target, rcond=None)[0]
     y0 = np.zeros(p0.B.out_dim)
-    z0 = x0 - g0 * p0.f.gradient(x0) - g0 * p0.B.adjoint_apply(y0)
-    c0 = SolverConfig(gamma=g0, lam=0.25, eps=1e-16, max_outer=iters + 1)
+    z0 = x0 - c0.gamma * p0.f.gradient(x0) - c0.gamma * p0.B.adjoint_apply(y0)
     results.append(_identity_row("pdfp == pd3o (x-iterates, matched start)",
                                  _observed(solve_pdfp, p0, c0, x0=x0, y0=y0),
-                                 _observed(solve_pd3o, p0, c0, z0=z0, y0=y0), iters + 1, skip_b=1))
+                                 _observed(solve_pd3o, p0, c0, z0=z0, y0=y0), _ITERS + 1, skip_b=1))
     return results
 
 

@@ -1,36 +1,33 @@
 """Pointwise trajectory identities between the nested schemes at one inner
 iteration and their single-loop counterparts, each read from its row of
-``equivalence_suite``: on the fused lasso, and the four J = 1 rows again on
-the CT and lrtv-sr families, whose rows carry the family's tag.  Every row but
-the matched-start ``pdfp == pd3o`` one also compares the two runs' final
-states, the dual y of h included, which every solver carries at unit scale.
-The two pairs that evaluate the same expressions in the same order are also
-compared bit for bit, x and every state variable at every step, through the
-solvers' ``observe`` hook."""
+``equivalence_suite``: the four J = 1 rows on a small instance of each family,
+the CT and lrtv-sr rows tagged with the family, each pair at its type-II preset
+steps.  Every row but the matched-start ``pdfp == pd3o`` one also compares the
+two runs' final states, the dual y of h included, which every solver carries at
+unit scale.  The two pairs that evaluate the same expressions in the same order
+are also compared bit for bit, x and every state variable at every step, through
+the solvers' ``observe`` hook."""
 
 import numpy as np
 import pytest
 from conftest import assert_row
 
-from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.solvers import _TABLE, SOLVERS, SolverConfig
-from splitopt.verification import _identity_row, _observed
+from splitopt.solvers import _TABLE, SOLVERS
+from splitopt.verification import _identity_row, _observed, _pair_cases
+
+FAMILIES = ["fused-lasso", "ct", "lrtv-sr"]
 
 
-def test_fb_dual_one_inner_step_is_pdfp(equivalence_rows):
-    assert_row(equivalence_rows, "fb-dual(J=1) == pdfp")
+def pair_row(nested, family):
+    """The name of ``nested``'s J = 1 row on ``family``'s instance."""
+    tag = "" if family == "fused-lasso" else f" [{family}]"
+    return f"{nested}(J=1) == {_TABLE[nested].single}{tag}"
 
 
-def test_tos_dual_one_inner_step_is_pd3o(equivalence_rows):
-    assert_row(equivalence_rows, "tos-dual(J=1) == pd3o")
-
-
-def test_tos_pd_one_inner_step_is_single_loop(equivalence_rows):
-    assert_row(equivalence_rows, "tos-pd(J=1) == tos-pd-single")
-
-
-def test_fb_pd_one_inner_step_is_condat_vu(equivalence_rows):
-    assert_row(equivalence_rows, "fb-pd(J=1) == condat-vu")
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("nested", [name for name, row in _TABLE.items() if row.single])
+def test_one_inner_step_is_the_single_loop_scheme(equivalence_rows, nested, family):
+    assert_row(equivalence_rows, pair_row(nested, family))
 
 
 def test_pd3o_identity_operator_is_davis_yin(equivalence_rows):
@@ -39,29 +36,6 @@ def test_pd3o_identity_operator_is_davis_yin(equivalence_rows):
 
 def test_pdfp_matches_pd3o_x_iterates(equivalence_rows):
     assert_row(equivalence_rows, "pdfp == pd3o (x-iterates, matched start)")
-
-
-FAMILIES = ["ct", "lrtv-sr"]
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_fb_dual_one_inner_step_is_pdfp_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"fb-dual(J=1) == pdfp [{family}]")
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_tos_dual_one_inner_step_is_pd3o_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"tos-dual(J=1) == pd3o [{family}]")
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_tos_pd_one_inner_step_is_single_loop_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"tos-pd(J=1) == tos-pd-single [{family}]")
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_fb_pd_one_inner_step_is_condat_vu_on_family(equivalence_rows, family):
-    assert_row(equivalence_rows, f"fb-pd(J=1) == condat-vu [{family}]")
 
 
 def test_short_trajectory_fails_its_row():
@@ -82,25 +56,14 @@ def test_final_state_gap_fails_its_row():
     assert _identity_row("a == b", a, b, 10) == ("a == b", False, "max gap 1.00e-09")
 
 
-#: equivalence_suite's three small instances, at seed 0
-INSTANCES = {
-    "fused-lasso": lambda: build_fused_lasso(m=30, n=60, seed=0),
-    "ct": lambda: build_ct_problem(img_side=16, views=6, rays=24, seed=0),
-    "lrtv-sr": lambda: build_lrtv_problem(rows=16, cols=16, seed=0),
-}
-
-
-@pytest.mark.parametrize("family", INSTANCES)
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("nested", ["fb-dual", "tos-pd"])
 def test_exact_pair_is_bitwise_equal_at_every_step(nested, family):
     # fb-dual(J=1) == pdfp and tos-pd(J=1) == tos-pd-single evaluate the same expressions
     # in the same order, so they agree to the bit, which the suite's 1e-12 row cannot see
-    p, row = INSTANCES[family](), _TABLE[nested]
-    assert row.to_single is None
-    c = SolverConfig(gamma=1.9 / p.f.lipschitz, eps=1e-16, max_outer=200,
-                     **{name: 1.0 if name == "tau" else 0.9 / p.B.norm_sq
-                        for name in row.steps if name != "gamma"})
-    a, b = _observed(SOLVERS[nested], p, c), _observed(SOLVERS[row.single], p, c)
+    p, runs = next((p, runs) for name, p, runs in _pair_cases(0)
+                   if name == pair_row(nested, family))
+    a, b = (_observed(SOLVERS[solver], p, c) for solver, c in runs)
     assert len(a) == len(b) == 200
     for k, ((x_a, state_a), (x_b, state_b)) in enumerate(zip(a, b), 1):
         assert np.array_equal(x_a, x_b), f"x differs at step {k}"
