@@ -19,8 +19,8 @@ Every solver's ``y`` is the dual of h at unit scale, so each identity covers its
 
 Each solver is one ``_Row`` of ``_TABLE``: its ``solve`` function, the ``steps`` it
 reads, their ``condition`` and, for a nested solver, the ``single``-loop scheme it
-equals at J = 1 and ``to_single``, its config map (None: the same config), which
-``preset_config`` applies.  ``check_steps`` applies a row before the first step.
+equals at J = 1 and ``to_single``, its config map (None: the same config), whose one
+reader is ``preset_config``.  ``check_steps`` applies a row before the first step.
 L is ``f.op.norm_sq`` for a least-squares f, and B's spectral quantities come from
 ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``, ``Gradient2D``,
 ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and user operators take the

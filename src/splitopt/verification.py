@@ -50,14 +50,15 @@ def _envelope(f, lam, x):
     return float(f.value(p) + np.sum((x - p) ** 2) / (2.0 * lam))
 
 
-def _prox_library(rng):
+def _prox_library(rng, shape=(3, 4)):
+    """One function of each prox kind on vectors of ``shape``'s size, the nuclear norm's matrix."""
     return [
         L1Norm(0.7),
         GroupL21(0.9),
         NonnegativeIndicator(),
         BoxIndicator(-0.5, 1.5),
-        NuclearNorm(0.8, (3, 4)),
-        QuadraticDistance(1.3, rng.standard_normal(_PROX_DIM)),
+        NuclearNorm(0.8, shape),
+        QuadraticDistance(1.3, rng.standard_normal(shape).ravel()),
         ZeroFunction(),
     ]
 
@@ -320,7 +321,12 @@ SUITES = {
 
 
 def run_suite(name):
-    """Run one suite of SUITES (or 'all') at seed 0; returns (results, all_passed)."""
-    suites = SUITES.values() if name == "all" else [SUITES[name]]
-    results = [row for suite in suites for row in suite()]
+    """Run one suite of SUITES (or 'all') at seed 0; returns (results, all_passed).  A suite
+    that raises gives one FAIL row, ``<suite>-suite``, naming the exception, and the rest run."""
+    results = []
+    for suite_name, suite in (SUITES if name == "all" else {name: SUITES[name]}).items():
+        try:
+            results += suite()
+        except Exception as exc:
+            results.append((f"{suite_name}-suite", False, f"raised {type(exc).__name__}: {exc}"))
     return results, all(ok for _, ok, _ in results)

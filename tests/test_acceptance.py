@@ -10,31 +10,11 @@ import numpy as np
 from conftest import suite_rows
 
 from splitopt.problems import build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.proxfuncs import (
-    BoxIndicator,
-    GroupL21,
-    L1Norm,
-    NonnegativeIndicator,
-    NuclearNorm,
-    QuadraticDistance,
-    ZeroFunction,
-)
-from splitopt.solvers import (
-    SolverConfig,
-    preset_config,
-    solve_fb_dual,
-    solve_fb_primal_dual,
-    solve_tos_dual,
-    solve_tos_primal_dual,
-)
-from splitopt.verification import prox_suite
+from splitopt.solvers import _TABLE, SolverConfig, preset_config
+from splitopt.verification import _prox_library, prox_suite
 
-FOUR_ALGORITHMS = {
-    "fb-dual": solve_fb_dual,
-    "fb-pd": solve_fb_primal_dual,
-    "tos-dual": solve_tos_dual,
-    "tos-pd": solve_tos_primal_dual,
-}
+#: the nested schemes, each a row of the solver table with a single-loop form
+FOUR_ALGORITHMS = {name: row.solve for name, row in _TABLE.items() if row.single}
 
 
 def report(num, ok, detail):
@@ -49,18 +29,6 @@ def read_rows(rows, prefixes, count):
     ok = len(picked) == count and all(passed for _, passed, _ in picked)
     return ok, "; ".join(f"{name} {'PASS' if passed else 'FAIL'} ({detail})"
                          for name, passed, detail in picked)
-
-
-def prox_library_dim4(rng):
-    return [
-        L1Norm(0.7),
-        GroupL21(0.9),
-        NonnegativeIndicator(),
-        BoxIndicator(-0.5, 1.5),
-        NuclearNorm(0.8, (2, 2)),
-        QuadraticDistance(1.3, rng.standard_normal(4)),
-        ZeroFunction(),
-    ]
 
 
 def test_criterion_1_identity_suite(equivalence_run):
@@ -228,7 +196,7 @@ def test_criterion_9_prox_oracle_equivalence(prox_rows):
     rows_ok, detail = read_rows(prox_rows, ("prox-optimality[",), 7)
     rng = np.random.default_rng(13)
     worst_gap = 0.0
-    for f in prox_library_dim4(rng):
+    for f in _prox_library(rng, (2, 2)):
         step = float(rng.uniform(0.3, 1.5))
         v = 2.0 * rng.standard_normal(4)
         worst_gap = max(worst_gap, float(np.abs(f.prox(step, v) - brute_force_prox(f, step, v)).max()))

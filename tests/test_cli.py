@@ -550,6 +550,17 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_raising_suite_fails_its_own_row(self, monkeypatch, capsys):
+        def diverge(problem, config, **start):
+            raise DivergenceError("pdfp", 1, "non-finite x")
+
+        monkeypatch.setitem(cli.SOLVERS, "pdfp", diverge)
+        assert cli.main(["verify", "all"]) == cli.EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("FAIL equivalence-suite (raised DivergenceError: "
+                             "pdfp diverged at outer iteration 1: non-finite x)")
+        assert len(lines) > 1 and all(line.startswith("PASS ") for line in lines[:-1])
+
     def test_unknown_suite_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             cli.main(["verify", "bogus"])

@@ -88,6 +88,8 @@ MUTANTS = [
     ("adjoint row NaN-blind", "src/splitopt/verification.py",
      "worst = float(np.maximum(worst, abs(float(bx @ y - x @ bty)) / scale))",
      "worst = float(max(worst, abs(float(bx @ y - x @ bty)) / scale))"),
+    ("a raising suite escapes run_suite", "src/splitopt/verification.py",
+     "except Exception as exc:", "except ArithmeticError as exc:"),
 ]
 
 
