@@ -186,7 +186,12 @@ class NuclearNorm(ProxFunction):
 
     def _prox(self, step, v):
         m = self._as_matrix(v)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        try:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+        except np.linalg.LinAlgError:
+            if np.all(np.isfinite(m)):
+                raise
+            return np.full(m.size, np.nan)  # a non-finite point: the solver names the step
         s = np.maximum(s - step * self.weight, 0.0)
         s[s < 1e-12] = 0.0
         return ((u * s) @ vt).ravel()

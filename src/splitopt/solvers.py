@@ -18,9 +18,11 @@ that the identity is a real check; ``solve_davis_yin`` is pd3o at B = I.
 Every solver's ``y`` is the dual of h at unit scale, so each identity covers its state.
 
 Each solver is one ``_Row`` of ``_TABLE``: its ``solve`` function, the ``steps`` it
-reads, their ``condition`` and, for a nested solver, the ``single``-loop scheme it
-equals at J = 1 and ``to_single``, its config map (None: the same config), whose one
-reader is ``preset_config``.  ``check_steps`` applies a row before the first step.
+reads, their ``condition``, its ``calls`` (a, b, start) of A, A^T, B, B^T, prox of g and
+prox of h*, a + J b of each per outer step at J inner steps, the objective's B included,
+and ``start`` more of A at the start point, and, for a nested solver, the ``single``-loop
+scheme it equals at J = 1 and ``to_single``, its config map (None: the same config), whose
+one reader is ``preset_config``.  ``check_steps`` applies a row before the first step.
 L is ``f.op.norm_sq`` for a least-squares f, and B's spectral quantities come from
 ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``, ``Gradient2D``,
 ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and user operators take the
@@ -511,19 +513,26 @@ def solve_tos_pd_single(problem, config, z0=None, v0=None, y0=None):
     return _run(problem, config, "tos-pd-single", step, (("z", z0), ("v", v0), ("y", y0)))
 
 
-_Row = namedtuple("_Row", "solve steps condition single to_single", defaults=(None, None))
+_Row = namedtuple("_Row", "solve steps condition calls single to_single", defaults=(None, None))
 
 _TABLE = {
-    "fb-dual": _Row(solve_fb_dual, ("gamma", "lam"), _lam_condition, "pdfp"),
-    "fb-pd": _Row(solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "condat-vu",
+    "fb-dual": _Row(solve_fb_dual, ("gamma", "lam"), _lam_condition,
+                    ((1, 1, 1, 1, 1, 0), (0, 0, 1, 1, 1, 1), 1), "pdfp"),
+    "fb-pd": _Row(solve_fb_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition,
+                  ((1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1), 1), "condat-vu",
                   lambda c: replace(c, sigma=c.sigma / c.gamma, tau=c.tau * c.gamma / (1 + c.tau))),
-    "tos-dual": _Row(solve_tos_dual, ("gamma", "lam"), _lam_condition, "pd3o"),
-    "tos-pd": _Row(solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition, "tos-pd-single"),
-    "pdfp": _Row(solve_pdfp, ("gamma", "lam"), _lam_condition),
-    "condat-vu": _Row(solve_condat_vu, ("sigma", "tau"), _condat_vu_condition),
-    "pd3o": _Row(solve_pd3o, ("gamma", "lam"), _lam_condition),
-    "davis-yin": _Row(solve_davis_yin, ("gamma",), _identity_condition),
-    "tos-pd-single": _Row(solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition),
+    "tos-dual": _Row(solve_tos_dual, ("gamma", "lam"), _lam_condition,
+                     ((1, 1, 1, 1, 1, 0), (0, 0, 1, 1, 0, 1), 0), "pd3o"),
+    "tos-pd": _Row(solve_tos_primal_dual, ("gamma", "sigma", "tau"), _sigma_tau_condition,
+                   ((1, 1, 1, 0, 1, 0), (0, 0, 1, 1, 0, 1), 0), "tos-pd-single"),
+    "pdfp": _Row(solve_pdfp, ("gamma", "lam"), _lam_condition, ((1, 1, 2, 2, 2, 1), (0,) * 6, 1)),
+    "condat-vu": _Row(solve_condat_vu, ("sigma", "tau"), _condat_vu_condition,
+                      ((1, 1, 2, 1, 1, 1), (0,) * 6, 1)),
+    "pd3o": _Row(solve_pd3o, ("gamma", "lam"), _lam_condition, ((1, 1, 3, 2, 1, 1), (0,) * 6, 0)),
+    "davis-yin": _Row(solve_davis_yin, ("gamma",), _identity_condition,
+                      ((1, 1, 1, 0, 1, 1), (0,) * 6, 0)),
+    "tos-pd-single": _Row(solve_tos_pd_single, ("gamma", "sigma", "tau"), _sigma_tau_condition,
+                          ((1, 1, 2, 1, 1, 1), (0,) * 6, 0)),
 }
 
 #: solver id -> solve function, looked up when a cell runs, so a replaced entry is honoured

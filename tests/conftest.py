@@ -1,7 +1,7 @@
 """The rows of the ``verify`` property suites at seed 3, shared by the unit
 tests and the acceptance criteria, so each property has one implementation
-and the equivalence suite runs once per session, and the helpers that
-compare a kernel with its oracle bit for bit.
+and the equivalence suite runs once per session, the helpers that
+compare a kernel with its oracle bit for bit, and one call-recording spy.
 
 Every warning raised by a test in this directory is an error, so a 0/0 or an
 overflow in a vectorised kernel fails the suite instead of leaking a NaN."""
@@ -76,6 +76,21 @@ def assert_same_bits(got, want):
     """Equal arrays, NaNs in the same places, and zeros of the same sign."""
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def record_calls(monkeypatch, owner, name):
+    """Replace ``owner``'s attribute, or mapping entry, ``name`` by a spy that passes each
+    call through; return the list of (args, kwargs) the calls append to."""
+    calls = []
+    mapping = isinstance(owner, dict)
+    real = owner[name] if mapping else getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    (monkeypatch.setitem if mapping else monkeypatch.setattr)(owner, name, spy)
+    return calls
 
 
 def raised_warnings(call, *args):

@@ -6,6 +6,7 @@ import re
 import stat
 
 import pytest
+from conftest import record_calls
 
 from splitopt import cli
 from splitopt.solvers import DivergenceError
@@ -87,19 +88,6 @@ def read(path):
         return fh.read()
 
 
-def count_builds(monkeypatch, builder):
-    """Replace the CLI's ``builder`` by a spy; return the list its calls go to."""
-    calls = []
-    real = getattr(cli, builder)
-
-    def spy(**params):
-        calls.append(params)
-        return real(**params)
-
-    monkeypatch.setattr(cli, builder, spy)
-    return calls
-
-
 class TestRun:
     def test_tiny_sweep_outputs(self, tmp_path):
         out = tmp_path / "results"
@@ -117,31 +105,16 @@ class TestRun:
         assert len(summary) == 3  # 2 solvers x 1 preset x 1 J x 1 eps
         assert all(row.startswith("fused-lasso,type-II") for row in summary[1:])
 
-    def test_reruns_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg_a = write_config(tmp_path, TINY_CONFIG.format(out=out_a), "a.ini")
-        cfg_b = write_config(tmp_path, TINY_CONFIG.format(out=out_b), "b.ini")
-        assert cli.main(["run", cfg_a]) == 0
-        assert cli.main(["run", cfg_b]) == 0
-        for rel in ("summary.csv", "type-II/fused-lasso_fb-dual_J1_eps0.0001.csv"):
-            assert read(out_a / rel) == read(out_b / rel)
-
     def test_omitted_loop_controls_take_solver_config_defaults(self, tmp_path, monkeypatch):
-        seen = []
-        real = cli.preset_config
-
-        def spy(problem, preset, solver, **overrides):
-            seen.append(overrides)
-            return real(problem, preset, solver, **overrides)
-
-        monkeypatch.setattr(cli, "preset_config", spy)
+        seen = record_calls(monkeypatch, cli, "preset_config")
         out = tmp_path / "results"
         text = TINY_CONFIG.format(out=out).split("[run]")[0] + (
             f"[run]\nsolvers = fb-dual\npresets = type-II\noutput_dir = {out}\n"
         )
         assert cli.main(["run", write_config(tmp_path, text)]) == 0
         assert (out / "type-II" / "fused-lasso_fb-dual_J1_eps1e-06.csv").exists()
-        assert seen == [{"inner_iters": 1, "eps": 1e-6, "max_outer": 5000}]
+        assert [overrides for _, overrides in seen] == [
+            {"inner_iters": 1, "eps": 1e-6, "max_outer": 5000}]
 
     def test_maxiter_marker(self, tmp_path):
         out = tmp_path / "results"
@@ -227,18 +200,11 @@ class TestRun:
     def test_custom_without_gamma_follows_the_preset_gamma_rule(self, tmp_path, monkeypatch,
                                                                   template):
         # the problem's suggested gamma (0.1 on lrtv-sr), else 1.9/L (ct-tv)
-        seen = []
-
-        def spy(solve):
-            return lambda problem, config, **kw: seen.append((problem, config)) or solve(
-                problem, config, **kw)
-
-        for solver_id in ("fb-pd", "tos-dual"):
-            monkeypatch.setitem(cli.SOLVERS, solver_id, spy(cli.SOLVERS[solver_id]))
+        seen = [record_calls(monkeypatch, cli.SOLVERS, s) for s in ("fb-pd", "tos-dual")]
         text = template.format(out=tmp_path / "r").replace("gamma = 0.1\n", "")
         text = re.sub(r"max_outer = \d+", "max_outer = 3", text)
         assert cli.main(["run", write_config(tmp_path, text)]) == 0
-        (problem, config), = seen
+        ((problem, config), _), = seen[0] + seen[1]
         expected = problem.gamma_default or 1.9 / problem.f.lipschitz
         assert config.gamma == expected
         assert config.param_preset == "custom"
@@ -291,7 +257,7 @@ class TestExitCodes:
             "pdfp, tos-dual, tos-pd, tos-pd-single\n")
 
     def test_unknown_solver_id_rejected_before_the_build(self, tmp_path, monkeypatch):
-        builds = count_builds(monkeypatch, "build_ct_problem")
+        builds = record_calls(monkeypatch, cli, "build_ct_problem")
         out = tmp_path / "r"
         text = TINY_CT.format(out=out).replace("solvers = tos-dual", "solvers = nope")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_UNKNOWN_SOLVER
@@ -302,7 +268,7 @@ class TestExitCodes:
                                      "inner_iters = 1", "eps = 1e-4"],
                              ids=["solvers", "presets", "inner_iters", "eps"])
     def test_empty_list_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, old):
-        builds = count_builds(monkeypatch, "build_fused_lasso")
+        builds = record_calls(monkeypatch, cli, "build_fused_lasso")
         out = tmp_path / "r"
         key = old.split()[0]
         text = TINY_CONFIG.format(out=out).replace(old, f"{key} =")
@@ -480,7 +446,7 @@ class TestExitCodes:
     ], ids=["default-typo", "misspelt-custom", "default-value"])
     def test_unknown_section_rejected_before_any_output(self, tmp_path, monkeypatch, capsys,
                                                         section, drop):
-        builds = count_builds(monkeypatch, "build_fused_lasso")
+        builds = record_calls(monkeypatch, cli, "build_fused_lasso")
         out = tmp_path / "r"
         text = section + "\n" + TINY_CONFIG.format(out=out).replace(drop, "")
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
@@ -497,7 +463,7 @@ class TestExitCodes:
     ], ids=["no-run-section", "unknown-preset", "custom-without-section"])
     def test_run_section_fault_rejected_before_the_build(self, tmp_path, monkeypatch, capsys,
                                                          old, new, message):
-        builds = count_builds(monkeypatch, "build_fused_lasso")
+        builds = record_calls(monkeypatch, cli, "build_fused_lasso")
         out = tmp_path / "r"
         text = TINY_CONFIG.format(out=out).replace(old, new)
         assert cli.main(["run", write_config(tmp_path, text)]) == cli.EXIT_CONFIG

@@ -109,6 +109,17 @@ class TestProxValues:
         np.testing.assert_allclose(out.reshape(3, 3), np.diag([1.5, (0.5 + 1e-10) - 0.5, 0.0]),
                                    rtol=1e-6, atol=1e-20)
 
+    def test_nuclear_svd_failure_is_nan_only_at_a_non_finite_point(self, monkeypatch):
+        f = NuclearNorm(1.0, (2, 2))
+        assert np.isnan(f.prox(1.0, [np.nan, 0.0, 0.0, 1.0])).all()
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(np.linalg.LinAlgError):
+            f.prox(1.0, np.ones(4))
+
     def test_group_l21_radial_shrink_vs_refine_oracle(self):
         f = GroupL21(1.0)
         v = np.array([3.0, 4.0])

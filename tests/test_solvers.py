@@ -8,11 +8,13 @@ import time
 
 import numpy as np
 import pytest
+from conftest import record_calls
 
 from splitopt import operators, solvers
-from splitopt.operators import DenseMatrix, Identity, SparseMatrix, estimate_norm
+from splitopt.operators import DenseMatrix, Identity, SparseMatrix
 from splitopt.problems import SplitProblem, build_ct_problem, build_fused_lasso, build_lrtv_problem
-from splitopt.proxfuncs import L1Norm, NonnegativeIndicator, QuadraticDistance, ZeroFunction
+from splitopt.proxfuncs import (L1Norm, NonnegativeIndicator, NuclearNorm, QuadraticDistance,
+                                ZeroFunction)
 from splitopt.smooth import LeastSquares
 from splitopt.solvers import (
     PRESETS,
@@ -791,6 +793,17 @@ class TestDivergenceDetection:
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 solve_fb_dual(p, c, x0=np.ones(4))
 
+    @pytest.mark.parametrize("name", ["fb-dual", "pdfp"])
+    def test_non_finite_svd_input_is_named_at_its_step(self, name):
+        # the inner step's g-prox meets the non-finite point before the step's check does;
+        # it stops where it would with g = L1Norm(0.1)
+        p = SplitProblem(f=self._BadGradient(), g=NuclearNorm(0.1, (2, 2)), h=ZeroFunction(),
+                         B=Identity(4))
+        c = SolverConfig(gamma=0.19, lam=1.0, eps=1e-30, max_outer=5000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="outer iteration 666: non-finite x$"):
+                SOLVERS[name](p, c, x0=np.ones(4))
+
     @pytest.mark.parametrize("name", sorted(set(SOLVERS) - {"davis-yin"}))
     def test_nonfinite_state_named_at_the_step_that_made_it(self, name):
         # h*'s prox turns to NaN at its 5th call, in outer step 5 at J = 1; the
@@ -832,38 +845,23 @@ class TestInnerIterationCounts:
 
 
 class TestCallCounts:
-    """Public calls per outer iteration on a tiny CT instance at J = 3; a change
-    that keeps the arithmetic keeps these counts."""
+    """Public calls over 7 outer steps at J = 1 and at J = 3, on a B = I instance that every
+    solver admits, against the ``calls`` of the solver's row of ``_TABLE``: the two values
+    of J pin both the per-outer-step and the per-inner-step counts."""
 
-    #: solver id -> calls of (A, A^T, B, B^T, prox_g, prox_h*) per outer iteration
-    PER_ITER = {
-        "fb-dual": (1, 1, 4, 4, 4, 3),
-        "fb-pd": (1, 1, 4, 3, 3, 3),
-        "tos-dual": (1, 1, 4, 4, 1, 3),
-        "tos-pd": (1, 1, 4, 3, 1, 3),
-        "pdfp": (1, 1, 2, 2, 2, 1),
-        "pd3o": (1, 1, 3, 2, 1, 1),
-        "condat-vu": (1, 1, 2, 1, 1, 1),
-        "tos-pd-single": (1, 1, 2, 1, 1, 1),
-    }
-
-    #: solvers that take their first gradient at the start point, where no
-    #: objective has been evaluated yet, so they apply A once more
-    START_A = ("fb-dual", "fb-pd", "pdfp", "condat-vu")
-
-    @pytest.mark.parametrize("name", sorted(PER_ITER))
-    def test_calls_per_outer_iteration(self, name):
-        p = build_ct_problem(img_side=16, views=4, rays=12, seed=1)
-        c = preset_config(p, "type-II", name, inner_iters=3, eps=1e-16, max_outer=7)
-        counts = [0] * 6
-        for i, (obj, method) in enumerate(((p.f.op, "apply"), (p.f.op, "adjoint_apply"),
-                                           (p.B, "apply"), (p.B, "adjoint_apply"),
-                                           (p.g, "prox"), (p.h, "prox_conjugate"))):
-            setattr(obj, method, self._counted(counts, i, getattr(obj, method)))
+    @pytest.mark.parametrize("J", [1, 3], ids=["J1", "J3"])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_calls_per_outer_iteration(self, monkeypatch, name, J):
+        p = _identity_b_problem(4)
+        c = preset_config(p, "type-II", name, inner_iters=J, eps=1e-16, max_outer=7)
+        calls = [record_calls(monkeypatch, obj, method) for obj, method in (
+            (p.f.op, "apply"), (p.f.op, "adjoint_apply"), (p.B, "apply"),
+            (p.B, "adjoint_apply"), (p.g, "prox"), (p.h, "prox_conjugate"))]
         assert SOLVERS[name](p, c).total_outer == 7
-        expected = [7 * n for n in self.PER_ITER[name]]
-        expected[0] += name in self.START_A
-        assert counts == expected
+        per_step, per_inner_step, start = solvers._TABLE[name].calls
+        expected = [7 * (a + J * b) for a, b in zip(per_step, per_inner_step)]
+        expected[0] += start
+        assert [len(layer) for layer in calls] == expected
 
     @pytest.mark.parametrize("build, estimates_a", [
         (build_fused_lasso, False),
@@ -873,18 +871,9 @@ class TestCallCounts:
     def test_power_iteration_runs_once_for_a(self, monkeypatch, build, estimates_a):
         # B's spectral constant is closed-form, and so is A's, except for the
         # sparse CT projector's, which is estimated once
-        estimated = []
-        monkeypatch.setattr(operators, "estimate_norm",
-                            lambda op: estimated.append(op) or estimate_norm(op))
+        estimated = record_calls(monkeypatch, operators, "estimate_norm")
         p = build()
         for name in ("fb-dual", "fb-pd"):
             SOLVERS[name](p, preset_config(p, "type-II", name, max_outer=1))
         p.exact_b_norm()
-        assert estimated == ([p.f.op] if estimates_a else [])
-
-    @staticmethod
-    def _counted(counts, i, fn):
-        def wrapper(*args):
-            counts[i] += 1
-            return fn(*args)
-        return wrapper
+        assert [args for args, _ in estimated] == ([(p.f.op,)] if estimates_a else [])

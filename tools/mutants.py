@@ -76,6 +76,17 @@ MUTANTS = [
      "if maps and preset != \"custom\" else", "if maps else"),
     ("nuclear snap 1e-9", "src/splitopt/proxfuncs.py",
      "s[s < 1e-12] = 0.0", "s[s < 1e-9] = 0.0"),
+    ("nuclear prox lets a non-finite point reach the SVD", "src/splitopt/proxfuncs.py",
+     "        try:\n"
+     "            u, s, vt = np.linalg.svd(m, full_matrices=False)\n"
+     "        except np.linalg.LinAlgError:\n"
+     "            if np.all(np.isfinite(m)):\n"
+     "                raise\n"
+     "            return np.full(m.size, np.nan)  # a non-finite point: the solver names the step\n",
+     "        u, s, vt = np.linalg.svd(m, full_matrices=False)\n"),
+    ("fb-dual's g-prox count J instead of J + 1", SOLVERS,
+     "((1, 1, 1, 1, 1, 0), (0, 0, 1, 1, 1, 1), 1), \"pdfp\")",
+     "((1, 1, 1, 1, 0, 0), (0, 0, 1, 1, 1, 1), 1), \"pdfp\")"),
     ("no MAXITER marker", "src/splitopt/cli.py",
      "iters = str(trace.total_outer) if trace.converged else \"MAXITER\"",
      "iters = str(trace.total_outer)"),
