@@ -22,7 +22,8 @@ reads, their ``condition``, its ``calls`` (a, b, start) of A, A^T, B, B^T, prox 
 prox of h*, a + J b of each per outer step at J inner steps, the objective's B included,
 and ``start`` more of A at the start point, and, for a nested solver, the ``single``-loop
 scheme it equals at J = 1 and ``to_single``, its config map (None: the same config), whose
-one reader is ``preset_config``.  ``check_steps`` applies a row before the first step.
+one reader is ``preset_config``.  ``check_steps`` applies a row before the first step: the
+steps it lists must be set, and each bound is one negated product, which a NaN constant fails.
 L is ``f.op.norm_sq`` for a least-squares f, and B's spectral quantities come from
 ``B.norm_sq``.  Those are exact for ``Identity``, ``Difference1D``, ``Gradient2D``,
 ``BlurDownsample`` and ``DenseMatrix``; ``SparseMatrix`` and user operators take the
@@ -100,11 +101,11 @@ def check_loop_control(name, value):
 
 @dataclass
 class SolverConfig:
-    """Step sizes and loop controls shared by all solvers; a solver reads the steps that its
-    row of ``_TABLE`` lists.  ``observe``, if set, is the read-only hook ``_run`` calls after
-    each outer step.  ``param_preset`` records the named step rule the config came from, if any."""
+    """Step sizes and loop controls shared by all solvers; each step is optional, and a solver
+    needs the steps its row of ``_TABLE`` lists.  ``observe``, if set, is the read-only hook
+    ``_run`` calls after each outer step.  ``param_preset`` names its step rule, if any."""
 
-    gamma: float
+    gamma: float | None = None
     lam: float | None = None
     sigma: float | None = None
     tau: float | None = None
@@ -116,14 +117,13 @@ class SolverConfig:
 
     def __post_init__(self):
         # an infinite step or tolerance cannot be iterated with
-        positive("gamma", self.gamma, ConfigError)
+        for name in ("gamma", "lam", "sigma", "tau"):
+            if getattr(self, name) is not None:
+                positive(name, getattr(self, name), ConfigError)
         if not (self.observe is None or callable(self.observe)):
             raise ConfigError(f"observe must be callable or None, got {self.observe!r}")
         for name in ("inner_iters", "eps", "max_outer"):
             check_loop_control(name, getattr(self, name))
-        for name in ("lam", "sigma", "tau"):
-            if getattr(self, name) is not None:
-                positive(name, getattr(self, name), ConfigError)
 
 
 def preset_config(problem, preset, solver, **overrides):
@@ -198,16 +198,16 @@ class SolveTrace:
 # ---------------------------------------------------------------------------
 
 def check_steps(solver, problem, config):
-    """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries
-    the steps it reads, gamma in (0, 2/L) if it reads gamma, and they meet the row's
-    condition (a message when not).  Return the problem's f, g, h, B."""
+    """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries the
+    steps it reads, and they meet gamma L < 2 where it reads gamma and the row's condition,
+    each a negated product that a NaN constant fails.  Return the problem's f, g, h, B."""
     row = check_solver(solver)
-    lip = problem.f.lipschitz
-    if "gamma" in row.steps and lip > 0 and not config.gamma < 2.0 / lip:
-        raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
     missing = [name for name in row.steps if getattr(config, name) is None]
     if missing:
         raise ConfigError(f"{solver} needs {' and '.join(missing)}")
+    lip = problem.f.lipschitz
+    if "gamma" in row.steps and not config.gamma * lip < 2.0:
+        raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
     message = row.condition(problem, config)
     if message:
         raise ConfigError(message)
@@ -229,13 +229,13 @@ def check_preset(preset):
 
 def _lam_condition(problem, config):
     lam_max = problem.B.norm_sq
-    if lam_max > 0 and not config.lam < 2.0 / lam_max:
+    if not config.lam * lam_max < 2.0:
         return f"lam={config.lam} outside (0, 2/lambda_max) = (0, {2.0 / lam_max})"
 
 
 def _sigma_tau_condition(problem, config):
     product = config.sigma * config.tau * problem.B.norm_sq
-    if product >= 1.0:
+    if not product < 1.0:
         return f"sigma*tau*||B||^2 = {product} must be < 1"
 
 

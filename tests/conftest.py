@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitopt.operators import DenseMatrix, Identity
 from splitopt.verification import equivalence_suite, operator_suite, prox_suite
 
 HERE = Path(__file__).parent
@@ -27,6 +28,18 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if HERE in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
+
+
+class NanDense(DenseMatrix):
+    """A user's dense operator whose spectral constant ``norm_sq`` reads NaN."""
+
+    norm_sq = float("nan")
+
+
+class NanIdentity(Identity):
+    """A user's identity whose spectral constant ``norm_sq`` reads NaN."""
+
+    norm_sq = float("nan")
 
 
 def suite_rows(suite):

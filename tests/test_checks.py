@@ -8,6 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import NanDense, NanIdentity
 
 from splitopt.metrics import Reference
 from splitopt.operators import (
@@ -54,6 +55,12 @@ def _subnormal_problem(operator):
     divides by it overflows, and was reported as a bad gamma or lam of inf."""
     tiny, eye = DenseMatrix(1e-160 * np.eye(3)), Identity(3)
     a, b = (tiny, eye) if operator == "A" else (eye, tiny)
+    return SplitProblem(f=LeastSquares(a, np.zeros(3)), g=ZeroFunction(), h=ZeroFunction(), B=b)
+
+
+def _nan_problem(operator):
+    """A or B a user operator whose ``norm_sq`` reads NaN, the other the identity."""
+    a, b = (NanDense(np.eye(3)), Identity(3)) if operator == "A" else (Identity(3), NanIdentity(3))
     return SplitProblem(f=LeastSquares(a, np.zeros(3)), g=ZeroFunction(), h=ZeroFunction(), B=b)
 
 
@@ -139,6 +146,16 @@ CASES = {
     "check-steps-solver-id": (
         lambda: check_steps("condat_vu", _l0_problem(), SolverConfig(gamma=1.0)), ConfigError,
         f"unknown solver id 'condat_vu'; known: {KNOWN}"),
+    "check-steps-gamma-nan-l": (
+        lambda: check_steps("fb-dual", _nan_problem("A"), SolverConfig(gamma=1000.0, lam=0.5)),
+        ConfigError, "gamma=1000.0 outside (0, 2/L) = (0, nan) with L=nan"),
+    "check-steps-lam-nan-b": (
+        lambda: check_steps("fb-dual", _nan_problem("B"), SolverConfig(gamma=0.1, lam=1000.0)),
+        ConfigError, "lam=1000.0 outside (0, 2/lambda_max) = (0, nan)"),
+    "check-steps-sigma-tau-nan-b": (
+        lambda: check_steps("fb-pd", _nan_problem("B"),
+                            SolverConfig(gamma=0.1, sigma=1000.0, tau=1000.0)),
+        ConfigError, "sigma*tau*||B||^2 = nan must be < 1"),
     "problem-x0-length": (
         lambda: dataclasses.replace(build_fused_lasso(m=3, n=6), x0=np.zeros(5)), ValueError,
         "x0 has 5 entries, expected 6"),

@@ -6,13 +6,22 @@ steps.  Every row but the matched-start ``pdfp == pd3o`` one also compares the
 two runs' final states, the dual y of h included, which every solver carries at
 unit scale.  The two pairs that evaluate the same expressions in the same order
 are also compared bit for bit, x and every state variable at every step, through
-the solvers' ``observe`` hook."""
+the solvers' ``observe`` hook.  A property test draws random small instances and
+steps and checks every J = 1 pair on them in the same way."""
 
 import numpy as np
 import pytest
 from conftest import assert_row
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitopt.solvers import _TABLE, SOLVERS
+from splitopt.operators import (BlurDownsample, DenseMatrix, Difference1D, Gradient2D, Identity,
+                                SparseMatrix)
+from splitopt.problems import SplitProblem
+from splitopt.proxfuncs import (BoxIndicator, GroupL21, L1Norm, NonnegativeIndicator,
+                                NuclearNorm, ZeroFunction)
+from splitopt.smooth import LeastSquares
+from splitopt.solvers import _TABLE, SOLVERS, SolverConfig
 from splitopt.verification import _identity_row, _observed, _pair_cases
 
 FAMILIES = ["fused-lasso", "ct", "lrtv-sr"]
@@ -70,3 +79,96 @@ def test_exact_pair_is_bitwise_equal_at_every_step(nested, family):
         assert state_a.keys() == state_b.keys()
         for key in state_a:
             assert np.array_equal(state_a[key], state_b[key]), f"{key} differs at step {k}"
+
+
+#: outer steps of each drawn pair
+DRAWN_STEPS = 40
+#: the pairs that evaluate the same expressions in the same order
+EXACT = {"fb-dual", "tos-pd"}
+#: the prox kinds drawn for g, and for h on the vector instances
+G_KINDS = {"l1": lambda: L1Norm(0.3), "nonnegative": NonnegativeIndicator,
+           "zero": ZeroFunction, "box": lambda: BoxIndicator(-0.5, 0.5)}
+H_KINDS = {"l1": lambda: L1Norm(0.5), "box": lambda: BoxIndicator(-0.2, 0.2)}
+
+
+def _random_b(kind, n, rng):
+    if kind == "difference-1d":
+        return Difference1D(n)
+    if kind == "dense":
+        return DenseMatrix(rng.standard_normal((int(rng.integers(2, 12)), n)))
+    if kind == "identity":
+        return Identity(n)
+    nnz = int(rng.integers(1, 3 * n))
+    rows = int(rng.integers(2, 12))
+    return SparseMatrix(rows, n, rng.integers(0, rows, nnz), rng.integers(0, n, nnz),
+                        rng.standard_normal(nnz))
+
+
+@st.composite
+def drawn_instances(draw):
+    """A small problem of one of three shapes, with steps strictly inside their conditions:
+    a vector instance (dense A; B a 1-d difference, dense, identity or sparse), a TV image
+    (dense A, B the 2-d gradient, h grouped l21) and a low-rank TV image (A a blur with
+    downsampling, g the nuclear norm, B the 2-d gradient, h grouped l21)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["vector", "tv", "low-rank-tv"]))
+    if shape == "vector":
+        n = draw(st.integers(4, 15))
+        a = DenseMatrix(rng.standard_normal((draw(st.integers(2, 12)), n)))
+        b = _random_b(draw(st.sampled_from(["difference-1d", "dense", "identity", "sparse"])),
+                      n, rng)
+        g = G_KINDS[draw(st.sampled_from(sorted(G_KINDS)))]()
+        h = H_KINDS[draw(st.sampled_from(sorted(H_KINDS)))]()
+    else:
+        factor = draw(st.integers(1, 2))
+        rows, cols = (factor * draw(st.integers(2, 4)) for _ in range(2))
+        if shape == "tv":
+            a = DenseMatrix(rng.standard_normal((draw(st.integers(2, 12)), rows * cols)))
+            g = G_KINDS[draw(st.sampled_from(sorted(G_KINDS)))]()
+        else:
+            a = BlurDownsample(rows, cols, draw(st.sampled_from([0.0, 0.7, 1.0])), factor)
+            g = NuclearNorm(0.1, (rows, cols))
+        b, h = Gradient2D(rows, cols), GroupL21(0.2)
+    p = SplitProblem(f=LeastSquares(a, rng.standard_normal(a.out_dim)), g=g, h=h, B=b)
+    inside = st.floats(0.05, 0.95)
+    tau = draw(st.floats(0.1, 2.0))
+    steps = {"gamma": draw(inside) * 2.0 / p.f.lipschitz, "lam": draw(inside) * 2.0 / b.norm_sq,
+             "sigma": draw(inside) / (tau * b.norm_sq), "tau": tau}
+    return p, steps
+
+
+def _stopped_converged(run, eps):
+    """Whether a run's last step met the stopping rule, read from its own last two iterates."""
+    if len(run) < 2:
+        return False
+    (x_prev, _), (x, _) = run[-2:]
+    return np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30) <= eps
+
+
+def _assert_pairs_agree(p, steps):
+    """Each J = 1 pair's x and state agree at every step both runs ran, to 1e-12 of the
+    largest entry, and bit for bit for the exact pairs.  With eps 1e-16 a rel_change at
+    rounding level may stop one run first: a run shorter than DRAWN_STEPS is accepted only
+    if it stopped converged, and an exact pair must stop at the same step."""
+    config = SolverConfig(**steps, eps=1e-16, max_outer=DRAWN_STEPS)
+    for nested, row in _TABLE.items():
+        if not row.single:
+            continue
+        single = row.to_single(config) if row.to_single else config
+        a, b = _observed(SOLVERS[nested], p, config), _observed(SOLVERS[row.single], p, single)
+        for run in (a, b):
+            assert len(run) == DRAWN_STEPS or _stopped_converged(run, config.eps), nested
+        pairs = [(u, v) for (x_a, s_a), (x_b, s_b) in zip(a, b)
+                 for u, v in [(x_a, x_b), *((s_a[key], s_b[key]) for key in s_a)]]
+        if nested in EXACT:
+            assert len(a) == len(b), nested
+            assert all(np.array_equal(u, v) for u, v in pairs), nested
+        largest = max(max(np.abs(u).max(), np.abs(v).max()) for u, v in pairs)
+        gap = max(np.abs(u - v).max() for u, v in pairs)
+        assert gap <= 1e-12 * largest, f"{nested}: max gap {gap:.2e} of {largest:.2e}"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(drawn_instances())
+def test_every_pair_agrees_on_drawn_instances(instance):
+    _assert_pairs_agree(*instance)

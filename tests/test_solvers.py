@@ -5,10 +5,12 @@ import re
 import sys
 import threading
 import time
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import record_calls
+from conftest import NanDense, NanIdentity, record_calls
 
 from splitopt import operators, solvers
 from splitopt.operators import DenseMatrix, Identity, SparseMatrix
@@ -348,8 +350,7 @@ class TestConfigValidation:
             solve_fb_primal_dual(p, bad)
 
     def test_overflowing_power_iteration_fails_the_step_check(self):
-        # 1e200 squared overflows in the first sweep; an L of NaN would pass
-        # gamma's bound, which applies only when L > 0
+        # 1e200 squared overflows in the first sweep; gamma L = inf fails gamma L < 2
         a = SparseMatrix(2, 2, [0, 1], [0, 1], [1e200, 1.0])
         assert a.norm_sq == np.inf
         p = SplitProblem(f=LeastSquares(a, np.zeros(2)), g=L1Norm(0.1), h=L1Norm(0.1),
@@ -368,6 +369,44 @@ class TestConfigValidation:
             preset_config(p, "type-II", "fb-dual")
         with pytest.raises(ConfigError, match="with L=inf"):
             check_steps("fb-dual", p, SolverConfig(gamma=1.0, lam=0.5))
+
+    @pytest.mark.parametrize("case, name", [
+        (case, name) for case in ("nan-l", "nan-b") for name in sorted(SOLVERS)
+        if (case, name) != ("nan-b", "davis-yin")  # davis-yin reads no constant of B
+    ])
+    def test_nan_spectral_constant_rejects_every_step(self, case, name):
+        # a user operator's NaN norm_sq: every bound that reads it is a negated product, so
+        # none admits gamma = 1000 (L = NaN) or lam = sigma = tau = 1000 (||B||^2 = NaN)
+        if case == "nan-l":  # B = I, so every solver reads L
+            p = SplitProblem(f=LeastSquares(NanDense(np.eye(3)), np.zeros(3)), g=L1Norm(0.1),
+                             h=L1Norm(0.1), B=Identity(3))
+            c = SolverConfig(gamma=1000.0, lam=0.5, sigma=0.25, tau=1.0, max_outer=1)
+        else:
+            p = SplitProblem(f=LeastSquares(Identity(3), np.zeros(3)), g=L1Norm(0.1),
+                             h=L1Norm(0.1), B=NanIdentity(3))
+            c = SolverConfig(gamma=0.1, lam=1000.0, sigma=1000.0, tau=1000.0, max_outer=1)
+        with pytest.raises(ConfigError):
+            SOLVERS[name](p, c)
+
+    def test_no_step_past_its_exact_bound_is_admitted(self):
+        # gamma and lam at fl(2/c) and its two neighbours, for seeded constants c in
+        # [1e-3, 1e4]: a step the rounded product admits is admitted by exact arithmetic
+        rng = np.random.default_rng(35)
+        admitted = 0
+        for c in 10.0 ** rng.uniform(-3.0, 4.0, 2000):
+            bound = 2.0 / c
+            for step in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+                for steps, lip, lam_max in (({"gamma": step, "lam": 1.0}, c, 1.0),
+                                            ({"gamma": 1.0, "lam": step}, 1.0, c)):
+                    p = types.SimpleNamespace(f=types.SimpleNamespace(lipschitz=lip), g=None,
+                                              h=None, B=types.SimpleNamespace(norm_sq=lam_max))
+                    try:
+                        check_steps("fb-dual", p, SolverConfig(**steps))
+                    except ConfigError:
+                        continue
+                    admitted += 1
+                    assert Fraction(float(step)) * Fraction(float(c)) < 2
+        assert admitted > 2000
 
     def test_condat_vu_standard_condition(self):
         p = small_lasso()
@@ -652,10 +691,9 @@ class TestStepTable:
         steps = solvers._TABLE[name].steps
         p = TestStartState._problem()  # B = I and L = 1: every solver applies
         values = {"gamma": 1.0, "lam": 0.5, "sigma": 0.25, "tau": 1.0}
-        c = SolverConfig(**{k: values[k] for k in ("gamma", *steps)}, eps=1e-16, max_outer=2)
+        c = SolverConfig(**{k: values[k] for k in steps}, eps=1e-16, max_outer=2)
         assert SOLVERS[name](p, c).total_outer == 2  # an unlisted step would be None here
-        # gamma cannot be dropped: every SolverConfig carries it
-        for step in set(steps) - {"gamma"}:
+        for step in steps:
             dropped = dataclasses.replace(c, **{step: None})
             for call in (SOLVERS[name], lambda *args: check_steps(name, *args)):
                 with pytest.raises(ConfigError, match=f"^{name} needs {step}$"):

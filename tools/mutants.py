@@ -37,12 +37,17 @@ MUTANTS = [
     ("Condat-Vu margin L/4", SOLVERS,
      "margin > problem.f.lipschitz / 2.0", "margin > problem.f.lipschitz / 4.0"),
     ("lam bound <=", SOLVERS,
-     "not config.lam < 2.0 / lam_max", "not config.lam <= 2.0 / lam_max"),
-    ("sigma tau bound >", SOLVERS, "if product >= 1.0:", "if product > 1.0:"),
+     "not config.lam * lam_max < 2.0", "not config.lam * lam_max <= 2.0"),
+    ("sigma tau bound >", SOLVERS, "if not product < 1.0:", "if not product <= 1.0:"),
     ("gamma bound <=", SOLVERS,
-     "not config.gamma < 2.0 / lip", "not config.gamma <= 2.0 / lip"),
+     "not config.gamma * lip < 2.0", "not config.gamma * lip <= 2.0"),
     ("gamma bound 2.2/L", SOLVERS,
-     "not config.gamma < 2.0 / lip", "not config.gamma < 2.2 / lip"),
+     "not config.gamma * lip < 2.0", "not config.gamma * lip < 2.2"),
+    ("gamma bound only where L > 0", SOLVERS,
+     "and not config.gamma * lip < 2.0", "and lip > 0 and not config.gamma * lip < 2.0"),
+    ("lam bound only where lambda_max > 0", SOLVERS,
+     "if not config.lam * lam_max < 2.0", "if lam_max > 0 and not config.lam * lam_max < 2.0"),
+    ("sigma-tau bound not negated", SOLVERS, "if not product < 1.0:", "if product >= 1.0:"),
     ("blow-up factor 1e13", SOLVERS, "obj > 1e12 * obj_ref", "obj > 1e13 * obj_ref"),
     ("stop at rel < eps", SOLVERS, "if rel <= config.eps:", "if rel < config.eps:"),
     ("rel_change divided by ||x_{k+1}||", SOLVERS,
