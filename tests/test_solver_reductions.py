@@ -139,17 +139,18 @@ def drawn_instances(draw):
 
 def _stopped_converged(run, eps):
     """Whether a run's last step met the stopping rule, read from its own last two iterates."""
-    if len(run) < 2:
-        return False
     (x_prev, _), (x, _) = run[-2:]
     return np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1e-30) <= eps
 
 
-def _assert_pairs_agree(p, steps):
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(drawn_instances())
+def test_every_pair_agrees_on_drawn_instances(instance):
     """Each J = 1 pair's x and state agree at every step both runs ran, to 1e-12 of the
     largest entry, and bit for bit for the exact pairs.  With eps 1e-16 a rel_change at
     rounding level may stop one run first: a run shorter than DRAWN_STEPS is accepted only
     if it stopped converged, and an exact pair must stop at the same step."""
+    p, steps = instance
     config = SolverConfig(**steps, eps=1e-16, max_outer=DRAWN_STEPS)
     for nested, row in _TABLE.items():
         if not row.single:
@@ -166,9 +167,3 @@ def _assert_pairs_agree(p, steps):
         largest = max(max(np.abs(u).max(), np.abs(v).max()) for u, v in pairs)
         gap = max(np.abs(u - v).max() for u, v in pairs)
         assert gap <= 1e-12 * largest, f"{nested}: max gap {gap:.2e} of {largest:.2e}"
-
-
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(drawn_instances())
-def test_every_pair_agrees_on_drawn_instances(instance):
-    _assert_pairs_agree(*instance)

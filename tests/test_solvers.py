@@ -405,7 +405,7 @@ class TestConfigValidation:
                     except ConfigError:
                         continue
                     admitted += 1
-                    assert Fraction(float(step)) * Fraction(float(c)) < 2
+                    assert Fraction(step) * Fraction(c) < 2
         assert admitted > 2000
 
     def test_condat_vu_standard_condition(self):
