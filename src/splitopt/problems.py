@@ -41,10 +41,10 @@ class SplitProblem:
 
     ``b_lam_max`` is the conventional rounded lambda_max(B B^T) that the
     step-size presets use where the experiment defines one (without it,
-    ``preset_config`` raises ``B.norm_sq`` by a small margin), and
-    ``gamma_default`` the gamma they take instead of 1.9 / L; step-size
-    conditions are checked against ``B.norm_sq``, and ``exact_b_norm`` is its
-    square root.  When set, those two and ``dynamic_range`` must be positive
+    ``preset_config`` raises ``B.norm_sq`` by a small margin); the presets
+    take gamma = 1.9 / L on every problem.  Step-size conditions are checked
+    against ``B.norm_sq``, and ``exact_b_norm`` is its square root.  When set,
+    ``b_lam_max`` and ``dynamic_range`` must be positive
     and finite, and ``ground_truth`` and ``x0`` must have ``B.in_dim`` entries.
     A solve scores SNR and NMSD against a set ``ground_truth``, rejecting a
     constant or non-finite one, and SSIM too when ``dynamic_range`` is set.
@@ -57,7 +57,6 @@ class SplitProblem:
     ground_truth: np.ndarray | None = None
     x0: np.ndarray | None = None
     b_lam_max: float | None = None
-    gamma_default: float | None = None
     dynamic_range: float | None = None
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ class SplitProblem:
         for name in ("ground_truth", "x0"):
             if getattr(self, name) is not None:
                 vector(getattr(self, name), self.B.in_dim, name)
-        for name in ("b_lam_max", "gamma_default", "dynamic_range"):
+        for name in ("b_lam_max", "dynamic_range"):
             if getattr(self, name) is not None:
                 positive(name, getattr(self, name))
         g_shape = getattr(self.g, "shape", None)
@@ -349,6 +348,5 @@ def build_lrtv_problem(rows=32, cols=32, blur_sigma=1.0, factor=2,
         ground_truth=x_img.ravel(),
         x0=x0,
         b_lam_max=8.0,
-        gamma_default=0.1,
         dynamic_range=float(x_img.max() - x_img.min()),
     )

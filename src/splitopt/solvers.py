@@ -135,8 +135,8 @@ def preset_config(problem, preset, solver, **overrides):
 
     lambda_max(B B^T) is the problem's conventional ``b_lam_max`` when set,
     otherwise ``B.norm_sq * (1 + _PRESET_MARGIN)``, so that sigma tau ||B||^2 < 1
-    holds strictly, and ||B|| is its square root; gamma defaults to the problem's
-    suggested value or 1.9/L.  Under type-I and type-II, a single-loop solver that a
+    holds strictly, and ||B|| is its square root; gamma is 1.9/L on every problem
+    unless ``overrides`` gives it.  Under type-I and type-II, a single-loop solver that a
     nested row of ``_TABLE`` equals at J = 1 through a ``to_single`` map (condat-vu)
     takes that nested solver's steps through the map.  An unknown id raises ConfigError,
     and so does a constant a derived step needs that is not positive, finite and normal:
@@ -158,8 +158,7 @@ def preset_config(problem, preset, solver, **overrides):
         else:
             params = {"lam": 1.0 / lam_max, "sigma": 1.0 / norm_b, "tau": 1.0 / norm_b}
     if "gamma" not in overrides:
-        params["gamma"] = (problem.gamma_default
-                           or 1.9 / constant("L (pass gamma=)", problem.f.lipschitz))
+        params["gamma"] = 1.9 / constant("L (pass gamma=)", problem.f.lipschitz)
     params.update(overrides)
     config = SolverConfig(param_preset=preset, **params)
     maps = [row.to_single for row in _TABLE.values() if row.single == solver and row.to_single]

@@ -39,7 +39,7 @@ KNOWN = ("condat-vu, davis-yin, fb-dual, fb-pd, pd3o, pdfp, tos-dual, tos-pd, "
 
 
 def _l0_problem():
-    """f = 0 (L = 0) and no suggested gamma, so a preset cannot derive one."""
+    """f = 0 (L = 0), so a preset cannot derive gamma = 1.9 / L."""
     f = LeastSquares(DenseMatrix(np.zeros((1, 4))), np.zeros(1))
     return SplitProblem(f=f, g=ZeroFunction(), h=ZeroFunction(), B=Identity(4))
 

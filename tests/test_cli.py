@@ -199,14 +199,13 @@ class TestRun:
     @pytest.mark.parametrize("template", [TINY_LRTV, TINY_CT], ids=["lrtv-sr", "ct-tv"])
     def test_custom_without_gamma_follows_the_preset_gamma_rule(self, tmp_path, monkeypatch,
                                                                   template):
-        # the problem's suggested gamma (0.1 on lrtv-sr), else 1.9/L (ct-tv)
+        # 1.9/L, as under type-I and type-II, on every problem
         seen = [record_calls(monkeypatch, cli.SOLVERS, s) for s in ("fb-pd", "tos-dual")]
         text = template.format(out=tmp_path / "r").replace("gamma = 0.1\n", "")
         text = re.sub(r"max_outer = \d+", "max_outer = 3", text)
         assert cli.main(["run", write_config(tmp_path, text)]) == 0
         ((problem, config), _), = seen[0] + seen[1]
-        expected = problem.gamma_default or 1.9 / problem.f.lipschitz
-        assert config.gamma == expected
+        assert config.gamma == 1.9 / problem.f.lipschitz
         assert config.param_preset == "custom"
 
     def test_result_files_take_the_umask_mode(self, tmp_path):

@@ -350,7 +350,6 @@ class TestLrtvInstance:
         p = build_lrtv_problem(seed=0)
         assert p.g.kind == "nuclear" and p.g.weight == 0.01
         assert p.h.kind == "group-l21" and p.h.weight == 0.01
-        assert p.gamma_default == 0.1
         assert p.dynamic_range == float(p.ground_truth.max() - p.ground_truth.min())
 
     def test_ground_truth_is_low_rank_unit_range(self):
@@ -414,9 +413,9 @@ class TestDimensionChain:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_step_constant_must_be_positive(self, value):
         # preset_config divided by 0 or took the root of -1 with b_lam_max; a
-        # bad gamma_default or dynamic_range was accepted until a preset or a solve
+        # bad dynamic_range was accepted until a solve
         p = build_fused_lasso(m=30, n=60)
-        for field in ("b_lam_max", "gamma_default", "dynamic_range"):
+        for field in ("b_lam_max", "dynamic_range"):
             with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
                 dataclasses.replace(p, **{field: value})
 

@@ -459,6 +459,11 @@ class TestConfigValidation:
             assert (c1.lam, c1.sigma, c1.tau) == (0.2375, 0.12499999999999997, 1.0)
             c2 = preset_config(p, "type-II", "fb-pd", gamma=0.1)
             assert (c2.lam, c2.sigma, c2.tau) == (0.125, 0.35355339059327373, 0.35355339059327373)
+        # gamma = 1.9/L on every problem, lrtv-sr included, and for every solver
+        p = build_lrtv_problem()
+        for preset in ("type-I", "type-II"):
+            for solver in SOLVERS:
+                assert preset_config(p, preset, solver).gamma == 1.9 / p.f.lipschitz
 
 
 class TestStoppingAndTrace:
