@@ -199,12 +199,13 @@ class SolveTrace:
 def check_steps(solver, problem, config):
     """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries the
     steps it reads, and they meet gamma L < 2 where it reads gamma and the row's condition,
-    each a negated product that a NaN constant fails.  Return the problem's f, g, h, B."""
+    each a negated product that a NaN constant fails, over constants read through
+    ``_spectral``.  Return the problem's f, g, h, B."""
     row = check_solver(solver)
     missing = [name for name in row.steps if getattr(config, name) is None]
     if missing:
         raise ConfigError(f"{solver} needs {' and '.join(missing)}")
-    lip = problem.f.lipschitz
+    lip = _spectral("L", problem.f.lipschitz)
     if "gamma" in row.steps and not config.gamma * lip < 2.0:
         raise ConfigError(f"gamma={config.gamma} outside (0, 2/L) = (0, {2.0 / lip}) with L={lip}")
     message = row.condition(problem, config)
@@ -226,20 +227,28 @@ def check_preset(preset):
         raise ConfigError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
 
 
+def _spectral(name, value):
+    """``value``, a spectral constant a step bound reads; raise ConfigError naming it if it is
+    negative, which would make the bound's product negative.  NaN and inf fail the bound."""
+    if value < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _lam_condition(problem, config):
-    lam_max = problem.B.norm_sq
+    lam_max = _spectral("||B||^2", problem.B.norm_sq)
     if not config.lam * lam_max < 2.0:
         return f"lam={config.lam} outside (0, 2/lambda_max) = (0, {2.0 / lam_max})"
 
 
 def _sigma_tau_condition(problem, config):
-    product = config.sigma * config.tau * problem.B.norm_sq
+    product = config.sigma * config.tau * _spectral("||B||^2", problem.B.norm_sq)
     if not product < 1.0:
         return f"sigma*tau*||B||^2 = {product} must be < 1"
 
 
 def _condat_vu_condition(problem, config):
-    margin = 1.0 / config.tau - config.sigma * problem.B.norm_sq
+    margin = 1.0 / config.tau - config.sigma * _spectral("||B||^2", problem.B.norm_sq)
     if not margin > problem.f.lipschitz / 2.0:
         return f"1/tau - sigma ||B||^2 = {margin} must exceed L/2 = {problem.f.lipschitz / 2.0}"
 

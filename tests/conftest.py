@@ -42,6 +42,18 @@ class NanIdentity(Identity):
     norm_sq = float("nan")
 
 
+class NegDense(DenseMatrix):
+    """A user's dense operator whose spectral constant ``norm_sq`` reads -1."""
+
+    norm_sq = -1.0
+
+
+class NegIdentity(Identity):
+    """A user's identity whose spectral constant ``norm_sq`` reads -1."""
+
+    norm_sq = -1.0
+
+
 def suite_rows(suite):
     """A suite's rows at seed 3 as ``{name: (ok, detail)}``."""
     return {name: (ok, detail) for name, ok, detail in suite(seed=3)}

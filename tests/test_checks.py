@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import NanDense, NanIdentity
+from conftest import NanDense, NanIdentity, NegDense, NegIdentity
 
 from splitopt.metrics import Reference
 from splitopt.operators import (
@@ -58,9 +58,10 @@ def _subnormal_problem(operator):
     return SplitProblem(f=LeastSquares(a, np.zeros(3)), g=ZeroFunction(), h=ZeroFunction(), B=b)
 
 
-def _nan_problem(operator):
-    """A or B a user operator whose ``norm_sq`` reads NaN, the other the identity."""
-    a, b = (NanDense(np.eye(3)), Identity(3)) if operator == "A" else (Identity(3), NanIdentity(3))
+def _user_problem(operator, dense=NanDense, identity=NanIdentity):
+    """A or B a user operator whose ``norm_sq`` reads NaN (or -1, given the Neg
+    classes), the other the identity."""
+    a, b = (dense(np.eye(3)), Identity(3)) if operator == "A" else (Identity(3), identity(3))
     return SplitProblem(f=LeastSquares(a, np.zeros(3)), g=ZeroFunction(), h=ZeroFunction(), B=b)
 
 
@@ -147,15 +148,31 @@ CASES = {
         lambda: check_steps("condat_vu", _l0_problem(), SolverConfig(gamma=1.0)), ConfigError,
         f"unknown solver id 'condat_vu'; known: {KNOWN}"),
     "check-steps-gamma-nan-l": (
-        lambda: check_steps("fb-dual", _nan_problem("A"), SolverConfig(gamma=1000.0, lam=0.5)),
+        lambda: check_steps("fb-dual", _user_problem("A"), SolverConfig(gamma=1000.0, lam=0.5)),
         ConfigError, "gamma=1000.0 outside (0, 2/L) = (0, nan) with L=nan"),
     "check-steps-lam-nan-b": (
-        lambda: check_steps("fb-dual", _nan_problem("B"), SolverConfig(gamma=0.1, lam=1000.0)),
+        lambda: check_steps("fb-dual", _user_problem("B"), SolverConfig(gamma=0.1, lam=1000.0)),
         ConfigError, "lam=1000.0 outside (0, 2/lambda_max) = (0, nan)"),
     "check-steps-sigma-tau-nan-b": (
-        lambda: check_steps("fb-pd", _nan_problem("B"),
+        lambda: check_steps("fb-pd", _user_problem("B"),
                             SolverConfig(gamma=0.1, sigma=1000.0, tau=1000.0)),
         ConfigError, "sigma*tau*||B||^2 = nan must be < 1"),
+    "check-steps-neg-l": (
+        lambda: check_steps("davis-yin", _user_problem("A", dense=NegDense),
+                            SolverConfig(gamma=1000.0)),
+        ConfigError, "L must be nonnegative, got -1.0"),
+    "check-steps-lam-neg-b": (
+        lambda: check_steps("fb-dual", _user_problem("B", identity=NegIdentity),
+                            SolverConfig(gamma=0.1, lam=1000.0)),
+        ConfigError, "||B||^2 must be nonnegative, got -1.0"),
+    "check-steps-sigma-tau-neg-b": (
+        lambda: check_steps("fb-pd", _user_problem("B", identity=NegIdentity),
+                            SolverConfig(gamma=0.1, sigma=1000.0, tau=1000.0)),
+        ConfigError, "||B||^2 must be nonnegative, got -1.0"),
+    "check-steps-condat-vu-neg-b": (
+        lambda: check_steps("condat-vu", _user_problem("B", identity=NegIdentity),
+                            SolverConfig(sigma=1000.0, tau=1000.0)),
+        ConfigError, "||B||^2 must be nonnegative, got -1.0"),
     "problem-x0-length": (
         lambda: dataclasses.replace(build_fused_lasso(m=3, n=6), x0=np.zeros(5)), ValueError,
         "x0 has 5 entries, expected 6"),

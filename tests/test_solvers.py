@@ -7,10 +7,11 @@ import threading
 import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import NanDense, NanIdentity, record_calls
+from conftest import NanDense, NanIdentity, NegDense, NegIdentity, record_calls
 
 from splitopt import operators, solvers
 from splitopt.operators import DenseMatrix, Identity, SparseMatrix
@@ -371,19 +372,21 @@ class TestConfigValidation:
             check_steps("fb-dual", p, SolverConfig(gamma=1.0, lam=0.5))
 
     @pytest.mark.parametrize("case, name", [
-        (case, name) for case in ("nan-l", "nan-b") for name in sorted(SOLVERS)
-        if (case, name) != ("nan-b", "davis-yin")  # davis-yin reads no constant of B
+        (case, name) for case in ("nan-l", "nan-b", "neg-l", "neg-b") for name in sorted(SOLVERS)
+        if case[-1] == "l" or name != "davis-yin"  # davis-yin reads no constant of B
     ])
     def test_nan_spectral_constant_rejects_every_step(self, case, name):
         # a user operator's NaN norm_sq: every bound that reads it is a negated product, so
-        # none admits gamma = 1000 (L = NaN) or lam = sigma = tau = 1000 (||B||^2 = NaN)
-        if case == "nan-l":  # B = I, so every solver reads L
-            p = SplitProblem(f=LeastSquares(NanDense(np.eye(3)), np.zeros(3)), g=L1Norm(0.1),
+        # none admits gamma = 1000 (L = NaN) or lam = sigma = tau = 1000 (||B||^2 = NaN);
+        # a norm_sq of -1 makes those products negative, so it is rejected by name
+        dense, identity = (NanDense, NanIdentity) if case[:3] == "nan" else (NegDense, NegIdentity)
+        if case[-1] == "l":  # B = I, so every solver reads L
+            p = SplitProblem(f=LeastSquares(dense(np.eye(3)), np.zeros(3)), g=L1Norm(0.1),
                              h=L1Norm(0.1), B=Identity(3))
             c = SolverConfig(gamma=1000.0, lam=0.5, sigma=0.25, tau=1.0, max_outer=1)
         else:
             p = SplitProblem(f=LeastSquares(Identity(3), np.zeros(3)), g=L1Norm(0.1),
-                             h=L1Norm(0.1), B=NanIdentity(3))
+                             h=L1Norm(0.1), B=identity(3))
             c = SolverConfig(gamma=0.1, lam=1000.0, sigma=1000.0, tau=1000.0, max_outer=1)
         with pytest.raises(ConfigError):
             SOLVERS[name](p, c)
@@ -703,6 +706,34 @@ class TestStepTable:
             for call in (SOLVERS[name], lambda *args: check_steps(name, *args)):
                 with pytest.raises(ConfigError, match=f"^{name} needs {step}$"):
                     call(p, dropped)
+
+    def test_readme_table_is_the_solver_table(self):
+        # the README copies each row's steps, J = 1 solver and calls by hand: each calls
+        # entry reads a + b J (J+1, J, 2, ...), with a * on A when the row makes a start call
+        def split(line):  # on unescaped |
+            return [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+
+        def count(a, b):
+            if b == 0:
+                return str(a)
+            j = "J" if b == 1 else f"{b}J"
+            return f"{j}+{a}" if a else j
+
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if "| calls per outer step" in line)
+        body = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+        rows = [dict(zip(split(lines[start]), split(line))) for line in body]
+        table = {row["solver"].strip("`"): row for row in rows}
+        assert sorted(table) == sorted(solvers._TABLE)
+        for name, row in solvers._TABLE.items():
+            cells = table[name]
+            assert tuple(re.findall(r"`([^`]*)`", cells["steps"])) == row.steps, name
+            single = re.findall(r"`([^`]*)`", cells["equals at J = 1"])
+            assert (single[0] if single else None) == row.single, name
+            a, b, start_calls = row.calls
+            calls = [count(*ab) for ab in zip(a, b)]
+            calls[0] += "*" * start_calls
+            assert cells["calls per outer step"] == f"`{', '.join(calls)}`", name
 
 
 #: each step condition -> (steps exactly at its bound, the same steps one ulp inside),

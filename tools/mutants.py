@@ -48,6 +48,9 @@ MUTANTS = [
     ("lam bound only where lambda_max > 0", SOLVERS,
      "if not config.lam * lam_max < 2.0", "if lam_max > 0 and not config.lam * lam_max < 2.0"),
     ("sigma-tau bound not negated", SOLVERS, "if not product < 1.0:", "if product >= 1.0:"),
+    ("negative spectral constant admitted", SOLVERS,
+     "    if value < 0:\n        raise ConfigError(f\"{name} must be nonnegative, got {value}\")\n",
+     ""),
     ("blow-up factor 1e13", SOLVERS, "obj > 1e12 * obj_ref", "obj > 1e13 * obj_ref"),
     ("stop at rel < eps", SOLVERS, "if rel <= config.eps:", "if rel < config.eps:"),
     ("rel_change divided by ||x_{k+1}||", SOLVERS,
