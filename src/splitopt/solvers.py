@@ -199,8 +199,8 @@ class SolveTrace:
 def check_steps(solver, problem, config):
     """Raise ConfigError unless ``solver`` names a row of ``_TABLE``, ``config`` carries the
     steps it reads, and they meet gamma L < 2 where it reads gamma and the row's condition,
-    each a negated product that a NaN constant fails, over constants read through
-    ``_spectral``.  Return the problem's f, g, h, B."""
+    each a negated product that a NaN constant fails; ``_spectral`` rejects a negative
+    constant.  Return the problem's f, g, h, B."""
     row = check_solver(solver)
     missing = [name for name in row.steps if getattr(config, name) is None]
     if missing:
@@ -228,8 +228,7 @@ def check_preset(preset):
 
 
 def _spectral(name, value):
-    """``value``, a spectral constant a step bound reads; raise ConfigError naming it if it is
-    negative, which would make the bound's product negative.  NaN and inf fail the bound."""
+    """``value``; ConfigError naming the constant if negative (NaN and inf fail the bound)."""
     if value < 0:
         raise ConfigError(f"{name} must be nonnegative, got {value}")
     return value
