@@ -373,14 +373,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("case, name", [
         (case, name) for case in ("nan-l", "nan-b", "neg-l", "neg-b") for name in sorted(SOLVERS)
-        if case[-1] == "l" or name != "davis-yin"  # davis-yin reads no constant of B
+        if case.endswith("l") or name != "davis-yin"  # davis-yin reads no constant of B
     ])
     def test_nan_spectral_constant_rejects_every_step(self, case, name):
         # a user operator's NaN norm_sq: every bound that reads it is a negated product, so
         # none admits gamma = 1000 (L = NaN) or lam = sigma = tau = 1000 (||B||^2 = NaN);
         # a norm_sq of -1 makes those products negative, so it is rejected by name
-        dense, identity = (NanDense, NanIdentity) if case[:3] == "nan" else (NegDense, NegIdentity)
-        if case[-1] == "l":  # B = I, so every solver reads L
+        nan = case.startswith("nan")
+        dense, identity = (NanDense, NanIdentity) if nan else (NegDense, NegIdentity)
+        if case.endswith("l"):  # B = I, so every solver reads L
             p = SplitProblem(f=LeastSquares(dense(np.eye(3)), np.zeros(3)), g=L1Norm(0.1),
                              h=L1Norm(0.1), B=Identity(3))
             c = SolverConfig(gamma=1000.0, lam=0.5, sigma=0.25, tau=1.0, max_outer=1)
